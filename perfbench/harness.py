@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from parmatch import ByteText, ChunkPlan, naive_match, to_sm, to_sm_par
@@ -26,18 +27,27 @@ from workloads import Workload
 
 HERE = Path(__file__).resolve().parent
 MIN_ROUNDS = 3
-SETUP_PROBES = 5
-SLICE_S = 0.5
+SETUP_PROBES = 9
+SLICE_S = 0.3
+GROUP_S = 0.1
 PATHS = ("seq", "thread", "proc", "cli_seq", "cli_par")
 CHILD_TIMEOUT_S = 150
 
-# The calibration scan: a fixed pure-Python loop of bytes slices and
-# compares, the kind of work to_sm does, sharing no code with parmatch.
-# Its time tracks how fast the shared machine runs at the moment.
-# CALIBRATION_REF_S is the reference speed: the scan time of the 2-core
-# reference machine when it runs fast (its medians span 7.5-12 ms).
+# Calibration probes: fixed work that shares no code with parmatch, so a
+# change to the program cannot move them.  Their time tracks how fast the
+# shared machine runs at the moment.  The scan is a pure-Python loop of
+# bytes slices and compares, the kind of work to_sm does, and calibrates
+# the in-process paths.  The start probe is a bare interpreter start
+# (``python -c pass``) and calibrates the CLI paths.  A new process's
+# speed follows the machine differently from a warm loop's: call by call,
+# CLI times spread 1.4 to 4 times less relative to the start probe than
+# relative to the scan.  The *_REF_S constants are the probes' times on
+# the 2-core reference machine when it runs fast (scan medians span
+# 7.5-12 ms, start medians 62-70 ms).
 CALIBRATION_TEXT = bytes(range(256)) * 256
 CALIBRATION_REF_S = 0.0075
+START_REF_S = 0.06
+PROBES = {"seq": "scan", "thread": "scan", "proc": "scan", "cli_seq": "start", "cli_par": "start"}
 
 
 def calibrate() -> float:
@@ -49,6 +59,18 @@ def calibrate() -> float:
     if len(found) != 256:
         raise RuntimeError("calibration scan found the wrong matches")
     return seconds
+
+
+def start_probe(env: dict) -> float:
+    """Seconds a bare interpreter takes to start and exit.
+
+    It is run the way the CLI children are, with piped output: without a
+    pipe to read, a wait with a timeout polls at growing intervals, and
+    the probe's time would jump between the polls (63.5 and 113.5 ms)."""
+    started = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "pass"], env=env, check=True,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=CHILD_TIMEOUT_S)
+    return time.perf_counter() - started
 
 
 def tail(samples: list[float]) -> tuple[float, float, int]:
@@ -216,54 +238,68 @@ class Bench:
         return samples
 
 
-def calibration_point() -> float:
-    """The machine's current speed: median of three calibration scans."""
-    return statistics.median(calibrate() for _ in range(3))
-
-
 def end_to_end(bench: Bench, seconds: float) -> tuple[dict, dict]:
     """Untraced run; returns (metrics, per-metric sample record).
 
-    Every slice of calls is bracketed by calibration points, and each of
-    its samples is also kept scaled by CALIBRATION_REF_S over the mean of
-    its two brackets: the time the call would have taken with the machine
-    at its reference speed.  The ``*_cal_mbps`` metrics come from those.
+    Calls are bracketed by the calibration probe PROBES names for their
+    path, and each sample is also kept scaled by the probe's reference time
+    over the mean of its two brackets: the time the call would have taken
+    with the machine at its reference speed.  The ``*_cal_mbps`` metrics
+    come from those.
     """
     setup = bench.setup_samples()
-    slices: list[tuple[str, list[float], float]] = []
+    raw = {path: [] for path in PATHS}
+    calibrated = {path: [] for path in PATHS}
+    probes = {"scan": (calibrate, CALIBRATION_REF_S),
+              "start": (partial(start_probe, bench.env), START_REF_S)}
+    brackets = {kind: [] for kind in probes}
     cursor = 0
+    last_kind = last_probe = None
     with bench:
         # Each path gets a slice of every round, at least one call, so cheap
         # paths collect many samples and slow ones one per round, and a slow
         # spell of the machine falls on every path alike.
         for _, path in schedule(seconds, PATHS):
-            before = calibration_point()
+            kind = PROBES[path]
+            probe, reference = probes[kind]
             began = time.perf_counter()
-            calls = []
+            if kind == last_kind:  # the last slice's closing probe is this one's opening
+                before = last_probe
+            else:
+                before = probe()
+                brackets[kind].append(before)
             while True:
-                calls.append(bench.timed(path, cursor % len(bench.texts)))
-                cursor += 1
+                # The machine's speed swings within a second, so probes sit
+                # next to the calls they calibrate: around every call that
+                # takes GROUP_S or more, around groups of faster ones.
+                group, group_began = [], time.perf_counter()
+                while True:
+                    group.append(bench.timed(path, cursor % len(bench.texts)))
+                    cursor += 1
+                    if time.perf_counter() - group_began >= GROUP_S:
+                        break
+                after = probe()
+                brackets[kind].append(after)
+                scale = reference * 2 / (before + after)
+                for call_s in group:
+                    if call_s is not None:
+                        raw[path].append(call_s)
+                        calibrated[path].append(call_s * scale)
+                before = after
                 if time.perf_counter() - began >= SLICE_S:
                     break
-            slices.append((path, calls, before))
-        brackets = [before for _, _, before in slices] + [calibration_point()]
+            last_kind, last_probe = kind, after
     if bench.tally.failed:
         return {}, {}
-
-    raw = {path: [] for path in PATHS}
-    calibrated = {path: [] for path in PATHS}
-    for k, (path, calls, _) in enumerate(slices):
-        scale = CALIBRATION_REF_S / ((brackets[k] + brackets[k + 1]) / 2)
-        raw[path] += calls
-        calibrated[path] += [seconds * scale for seconds in calls]
 
     megabytes = bench.workload.text_bytes / 1e6
     metrics: dict[str, tuple[float, str]] = {}
     record: dict[str, dict] = {}
     metrics["setup_s"] = (statistics.median(setup), "s")
     record["setup_s"] = {"samples": len(setup)}
-    metrics["calibration_ms"] = (statistics.median(brackets) * 1e3, "ms")
-    record["calibration_ms"] = {"samples": len(brackets)}
+    for kind, name in (("scan", "calibration_ms"), ("start", "start_probe_ms")):
+        metrics[name] = (statistics.median(brackets[kind]) * 1e3, "ms")
+        record[name] = {"samples": len(brackets[kind])}
     for path in PATHS:
         values = raw[path]
         metrics[f"{path}_mbps"] = (megabytes / statistics.median(values), "MB/s")

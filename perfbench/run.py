@@ -1,6 +1,6 @@
 """parmatch benchmark: one workload per invocation.
 
-    python3 perfbench/run.py --workload uniform-4m --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload uniform-1m --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout; the package is imported from its
 ``src/``.  ``--trace 0`` measures the end-to-end metrics untraced;

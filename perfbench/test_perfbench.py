@@ -29,23 +29,23 @@ def test_generators_are_seed_deterministic(name):
         assert first.sha256() != workloads.make(name, 8, 2).sha256()
 
 
-def test_uniform_4m_has_the_planted_targets():
-    workload = workloads.make("uniform-4m", 3, 2)
+def test_uniform_1m_has_the_planted_targets():
+    workload = workloads.make("uniform-1m", 3, 2)
     (text,) = workload.texts
-    assert len(text) == 4 * workloads.MIB and len(workload.target) == 8
+    assert len(text) == workloads.MIB and len(workload.target) == 8
     found = naive_match(ByteText(text), ByteText(workload.target))
-    assert len(found) == 64
-    # The copies next to each 1 MiB chunk mark straddle a seam.
-    assert [i for i in found if i % workload.chunk_size > workload.chunk_size - 8] == [
-        workloads.MIB - 4, 2 * workloads.MIB - 4, 3 * workloads.MIB - 4,
-    ]
+    assert len(found) == 16
+    # The copies next to each 256 KiB chunk mark straddle a seam.
+    chunk = workload.chunk_size
+    assert chunk == 256 * workloads.KIB
+    assert [i for i in found if i % chunk > chunk - 8] == [chunk - 4, 2 * chunk - 4, 3 * chunk - 4]
 
 
-def test_dense_ab_has_524286_matches():
+def test_dense_ab_has_131070_matches():
     workload = workloads.make("dense-ab", 0, 2)
     (text,) = workload.texts
-    assert len(text) == workloads.MIB
-    assert len(to_sm(ByteText(text), ByteText(workload.target)).indices) == 524_286
+    assert len(text) == 256 * workloads.KIB
+    assert len(to_sm(ByteText(text), ByteText(workload.target)).indices) == 131_070
 
 
 def test_tiny_chunks_cut_every_occurrence_at_a_seam():
@@ -58,10 +58,10 @@ def test_tiny_chunks_cut_every_occurrence_at_a_seam():
             tracer, 0, workload.branch, workload.chunk_size,
             ByteText(text), ByteText(workload.target), pool, pool,
         )
-    assert len(pieces) == 8192
+    assert len(pieces) == 2048
     assert result == to_sm(ByteText(text), ByteText(workload.target))
     figures = tracing.layer_counts(tracer, 0)
-    assert figures["monoid.tree_depth"] == 13
+    assert figures["monoid.tree_depth"] == 11
     assert figures["matcher.seam_hits"] == len(result.indices)
 
 
@@ -100,7 +100,7 @@ def test_end_to_end_smoke_emits_every_metric(tmp_path):
     spec = {entry["name"]: entry["unit"] for entry in SPEC["end_to_end"]}
     printed_only = {f"{path}_mbps": "MB/s" for path in harness.PATHS}
     printed_only |= {f"{path}_tail_ms": "ms" for path in ("seq", "thread", "proc")}
-    printed_only["calibration_ms"] = "ms"
+    printed_only |= {"calibration_ms": "ms", "start_probe_ms": "ms"}
     assert {name: unit for name, (_, unit) in metrics.items()} == spec | printed_only
     assert all(value > 0 for value, _ in metrics.values())
 

@@ -4,6 +4,11 @@ Each workload is a set of input texts, one target and the chunk plan the
 parallel paths use.  The program under test sees only these bytes; the
 seed decides every random choice, so one seed always gives the same
 inputs (and the same :func:`Workload.sha256`).
+
+The sizes keep the slowest path's call well under a second on a 2-core
+machine, so a run gets a dozen or more calls of every path: the median of
+fewer moves too much from run to run.  The cost each workload isolates
+grows in proportion to its size, so a larger input shows the same mix.
 """
 
 from __future__ import annotations
@@ -36,33 +41,33 @@ class Workload:
         return digest.hexdigest()
 
 
-def uniform_4m(seed: int, nproc: int) -> Workload:
-    """Scan-bound: 4 MiB of uniform random bytes, an 8-byte target planted
+def uniform_1m(seed: int, nproc: int) -> Workload:
+    """Scan-bound: 1 MiB of uniform random bytes, an 8-byte target planted
     every 64 KiB.  The copies sit 4 bytes before each 64 KiB mark, so the
-    three at the 1 MiB chunk marks straddle a seam."""
+    three at the 256 KiB chunk marks straddle a seam."""
     rng = random.Random(seed)
     target = rng.randbytes(8)
-    data = bytearray(rng.randbytes(4 * MIB))
-    for mark in range(0, 4 * MIB, 64 * KIB):
+    data = bytearray(rng.randbytes(MIB))
+    for mark in range(0, MIB, 64 * KIB):
         start = max(mark - 4, 0)
         data[start : start + len(target)] = target
-    return Workload("uniform-4m", (bytes(data),), target, branch=2, chunk_size=MIB)
+    return Workload("uniform-1m", (bytes(data),), target, branch=2, chunk_size=256 * KIB)
 
 
 def dense_ab(seed: int, nproc: int) -> Workload:
-    """Output-bound: ``ab`` repeated to 1 MiB with target ``ababa``, which
-    occurs at every even offset (524,286 overlapping matches).  The input
+    """Output-bound: ``ab`` repeated to 256 KiB with target ``ababa``, which
+    occurs at every even offset (131,070 overlapping matches).  The input
     is fixed by its definition, so the seed does not change it."""
-    return Workload("dense-ab", (b"ab" * (512 * KIB),), b"ababa", branch=2, chunk_size=256 * KIB)
+    return Workload("dense-ab", (b"ab" * (128 * KIB),), b"ababa", branch=2, chunk_size=64 * KIB)
 
 
 def tiny_chunks(seed: int, nproc: int) -> Workload:
-    """Chunk-bound: 32 KiB over ``{a,b}`` cut into 4-byte chunks, shorter
+    """Chunk-bound: 8 KiB over ``{a,b}`` cut into 4-byte chunks, shorter
     than the 8-byte target, so every occurrence straddles a seam
-    (8,192 pieces, reduction depth 13)."""
+    (2,048 pieces, reduction depth 11)."""
     rng = random.Random(seed)
     target = bytes(rng.choices(b"ab", k=8))
-    text = bytes(rng.choices(b"ab", k=32 * KIB))
+    text = bytes(rng.choices(b"ab", k=8 * KIB))
     return Workload("tiny-chunks", (text,), target, branch=2, chunk_size=4)
 
 
@@ -81,7 +86,7 @@ def small_1k(seed: int, nproc: int) -> Workload:
 
 
 GENERATORS = {
-    "uniform-4m": uniform_4m,
+    "uniform-1m": uniform_1m,
     "dense-ab": dense_ab,
     "tiny-chunks": tiny_chunks,
     "small-1k": small_1k,
