@@ -7,6 +7,7 @@ grid of plans.
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 from parmatch import ByteText, ChunkPlan, to_sm, to_sm_par, verify_equivalence
 
@@ -20,11 +21,12 @@ print(f"input: {len(text)} bytes, target {bytes(target)!r}, "
 print()
 
 plan = ChunkPlan(branch=4, chunk_size=max(len(text) // 8, 1))
-parallel = to_sm_par(plan, text, target)
-print(f"plan {plan}: parallel == sequential -> {parallel == sequential}")
-print()
+with ThreadPoolExecutor(max_workers=4) as pool:
+    parallel = to_sm_par(plan, text, target, map_pool=pool, reduce_pool=pool)
+    print(f"plan {plan}: parallel == sequential -> {parallel == sequential}")
+    print()
 
-print("default verification sweep (includes a plan that splits every match):")
-report = verify_equivalence(text, target)
+    print("default verification sweep (includes a plan that splits every match):")
+    report = verify_equivalence(text, target, map_pool=pool, reduce_pool=pool)
 print(report.to_text())
 assert report.ok

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .monoid import ChunkableOps
+from .monoid import ChunkableOps, chunk
 
 
 class RangeError(ValueError):
@@ -94,24 +92,14 @@ class ByteText:
         no longer than ``size`` (including the empty value) yields a
         single-element list.
         """
-        if size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        rest = self
-        parts: list[ByteText] = []
-        while len(rest) > size:
-            parts.append(rest.take(size))
-            rest = rest.drop(size)
-        parts.append(rest)
-        return parts
+        return chunk(chunkable_ops(), size, self)
 
 
 EMPTY = ByteText()
 
 
-def chunkable_ops() -> "ChunkableOps[ByteText]":
+def chunkable_ops() -> ChunkableOps[ByteText]:
     """ByteText as a chunkable monoid (concatenation with empty identity)."""
-    from .monoid import ChunkableOps
-
     return ChunkableOps(
         identity=ByteText,
         combine=ByteText.__add__,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .bytetext import ByteText
 from .matcher import to_sm
-from .pipeline import ChunkPlan, to_sm_par
+from .pipeline import ChunkPlan, first_divergence, to_sm_par, verify_equivalence
 
 EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
@@ -53,6 +52,17 @@ class MatchReport:
         }
 
 
+def _positive_int(value: str) -> int:
+    """argparse ``type`` for sizes and counts: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parmatch",
@@ -68,19 +78,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="input file; '-' or omitted reads stdin (repeatable)",
     )
     parser.add_argument("--mode", choices=("seq", "par", "both"), default="seq")
-    parser.add_argument("--branch", type=int, default=4, help="reduction fan-in")
+    parser.add_argument("--branch", type=_positive_int, default=4, help="reduction fan-in")
     parser.add_argument(
-        "--chunk", type=int, default=None,
+        "--chunk", type=_positive_int, default=None,
         help="chunk size in bytes (default: input length / threads, min 1)",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=None,
+        help="worker pool size (default: no thread pool; stages run inline)",
+    )
     parser.add_argument("--json", action="store_true", help="emit MatchReport JSON")
     parser.add_argument(
         "--verify", action="store_true",
         help="run both paths and fail (status 3) on any divergence",
     )
-    parser.add_argument("--bench", action="store_true", help="sweep plans and print timings")
-    parser.add_argument("--reps", type=int, default=3, help="benchmark repetitions")
+    parser.add_argument(
+        "--bench", action="store_true",
+        help="time both paths over a plan sweep; fail (status 3) on any divergence",
+    )
     parser.add_argument(
         "--processes", action="store_true",
         help="scan chunks in a process pool instead of threads",
@@ -120,7 +135,7 @@ def _read_input(path: str, err) -> ByteText | None:
 def _make_pools(
     args: argparse.Namespace,
 ) -> tuple[Executor | None, Executor | None]:
-    """Map-stage and reduce-stage pools; None means the shared default."""
+    """Map-stage and reduce-stage pools; None runs that stage inline."""
     map_pool = None
     reduce_pool = None
     if args.processes:
@@ -165,12 +180,9 @@ def _match_one(
         started = time.perf_counter()
         parallel = to_sm_par(plan, text, target, map_pool, reduce_pool)
         timings["par"] = (time.perf_counter() - started) * 1000.0
-        if mode == "both" and list(parallel.indices) != indices:
-            print(
-                f"error: sequential/parallel divergence on {path}: "
-                f"seq={indices} par={list(parallel.indices)}",
-                file=err,
-            )
+        where = first_divergence(sequential, parallel) if mode == "both" else None
+        if where is not None:
+            _print_divergence(path, plan, where, err)
             return None
         indices = list(parallel.indices)
     return MatchReport(
@@ -194,64 +206,13 @@ def _bench_plans(input_length: int, threads: int | None) -> list[ChunkPlan]:
     return [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in sizes]
 
 
-def _bench(
-    path: str,
-    text: ByteText,
-    target: ByteText,
-    args: argparse.Namespace,
-    map_pool: Executor | None,
-    reduce_pool: Executor | None,
-    out,
-    err,
-) -> int:
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=err)
-        return EXIT_USAGE
-    seq_times = []
-    sequential = None
-    for _ in range(args.reps):
-        started = time.perf_counter()
-        sequential = to_sm(text, target)
-        seq_times.append((time.perf_counter() - started) * 1000.0)
-    seq_ms = statistics.median(seq_times)
-
-    plans = (
-        [ChunkPlan(args.branch, args.chunk)]
-        if args.chunk is not None
-        else _bench_plans(len(text), args.threads)
+def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
+    print(
+        f"error: sequential/parallel divergence on {path} with {plan}: "
+        f"index lists first differ at position {where['position']} "
+        f"(seq={where['sequential']}, par={where['parallel']})",
+        file=err,
     )
-    rows = []
-    for plan in plans:
-        par_times = []
-        for _ in range(args.reps):
-            started = time.perf_counter()
-            parallel = to_sm_par(plan, text, target, map_pool, reduce_pool)
-            par_times.append((time.perf_counter() - started) * 1000.0)
-        if parallel.indices != sequential.indices:
-            print(f"error: divergence at plan {plan} on {path}", file=err)
-            return EXIT_DIVERGENCE
-        par_ms = statistics.median(par_times)
-        rows.append(
-            {
-                "branch": plan.branch,
-                "chunk_size": plan.chunk_size,
-                "seq_ms": seq_ms,
-                "par_ms": par_ms,
-                "speedup": seq_ms / par_ms if par_ms > 0 else 0.0,
-            }
-        )
-    if args.json:
-        json.dump({"path": path, "rows": rows}, out)
-        out.write("\n")
-    else:
-        print(f"{'branch':>6} {'chunk':>12} {'seq_ms':>10} {'par_ms':>10} {'speedup':>8}", file=out)
-        for row in rows:
-            print(
-                f"{row['branch']:>6} {row['chunk_size']:>12} {row['seq_ms']:>10.3f} "
-                f"{row['par_ms']:>10.3f} {row['speedup']:>8.2f}",
-                file=out,
-            )
-    return EXIT_MATCH
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -276,9 +237,18 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             if text is None:
                 return EXIT_USAGE
             if args.bench:
-                status = _bench(path, text, target, args, map_pool, reduce_pool, out, err)
-                if status != EXIT_MATCH:
-                    return status
+                plans = (
+                    [ChunkPlan(args.branch, args.chunk)]
+                    if args.chunk is not None
+                    else _bench_plans(len(text), args.threads)
+                )
+                sweep = verify_equivalence(text, target, plans, map_pool, reduce_pool)
+                print(sweep.to_json() if args.json else sweep.to_text(), file=out)
+                if not sweep.ok:
+                    for entry in sweep.entries:
+                        if not entry.equal:
+                            _print_divergence(path, entry.plan, entry.first_divergence, err)
+                    return EXIT_DIVERGENCE
                 found_any = True
                 continue
             report = _match_one(path, text, target, args, map_pool, reduce_pool, err)
@@ -296,7 +266,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     finally:
         for pool in (map_pool, reduce_pool):
             if pool is not None:
-                pool.shutdown(wait=False)
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def main() -> None:

@@ -167,7 +167,12 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
-    """Scan ``text`` and build the complete matcher for ``target``."""
+    """Scan ``text`` and build the complete matcher for ``target``.
+
+    An empty target matches at every offset ``0..len(text) - 1`` but not
+    at ``len(text)``, so an empty input has no match; ``to_sm_par`` and
+    ``naive_match`` follow the same convention.
+    """
     return StringMatcher(target, text, tuple(make_sm_indices(text, target)))
 
 

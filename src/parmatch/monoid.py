@@ -12,6 +12,9 @@ The two reduction paths are deliberately kept both:
   worker pool, and recurses; it must agree with ``mconcat`` exactly for
   any associative operation, and the test suite holds it to that.
 
+Every function that takes a ``pool`` runs inline when it is ``None``;
+callers that want parallelism pass, and shut down, their own executor.
+
 Nothing here assumes commutativity; operands are never reordered.
 """
 
@@ -19,9 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
-import os
-import random
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -95,38 +96,17 @@ def chunk(ops: ChunkableOps[T], size: int, value: T) -> list[T]:
     return parts
 
 
-# Shared default pool, sized to the hardware, created on first use.
-_default_pool: Executor | None = None
-_default_workers: int | None = None
-
-
-def set_default_workers(count: int | None) -> None:
-    """Override the size of the lazily created default worker pool."""
-    global _default_pool, _default_workers
-    _default_workers = count
-    if _default_pool is not None:
-        _default_pool.shutdown(wait=True)
-        _default_pool = None
-
-
-def default_pool() -> Executor:
-    global _default_pool
-    if _default_pool is None:
-        workers = _default_workers or os.cpu_count() or 1
-        _default_pool = ThreadPoolExecutor(max_workers=workers)
-    return _default_pool
-
-
 def pmap(fn: Callable[[S], R], items: Sequence[S], pool: Executor | None = None) -> list[R]:
     """Order-preserving parallel map, observationally equal to ``map``.
 
-    All submitted applications run to completion before results are
+    ``pool=None`` runs inline, as ``list(map(fn, items))``.  On a pool,
+    all submitted applications run to completion before results are
     gathered; if any application raised, the failure from the earliest
     list position is re-raised.
     """
-    items = list(items)
-    executor = pool if pool is not None else default_pool()
-    futures = [executor.submit(fn, item) for item in items]
+    if pool is None:
+        return list(map(fn, items))
+    futures = [pool.submit(fn, item) for item in items]
     wait(futures)
     return [future.result() for future in futures]
 
@@ -305,27 +285,8 @@ def morphism_distribution_check(
     pool: Executor | None = None,
 ) -> bool:
     """Does mapping the whole equal reducing the mapped chunks?"""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
     parts = chunk(witness.source, size, value)
     whole = witness.map_fn(value)
     rebuilt = mconcat(witness.target, pmap(witness.map_fn, parts, pool=pool))
     return witness.target.equal(whole, rebuilt)
 
-
-def random_bytes_gen(
-    rng: random.Random,
-    alphabet_size: int = 256,
-    max_length: int = 256,
-) -> Callable[[], bytes]:
-    """Generator of random byte strings for law suites.
-
-    Small alphabets (2 or 4 symbols) make matches dense and stress
-    index-merging arithmetic far harder than uniform bytes do.
-    """
-
-    def gen() -> bytes:
-        length = rng.randrange(max_length + 1)
-        return bytes(rng.randrange(alphabet_size) for _ in range(length))
-
-    return gen

@@ -119,7 +119,8 @@ class EquivalenceReport:
         )
 
 
-def _first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:
+def first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:
+    """The first index-list position where the two matchers differ, or None."""
     if seq == par:
         return None
     for position, (a, b) in enumerate(zip(seq.indices, par.indices)):
@@ -161,7 +162,7 @@ def verify_equivalence(
             EquivalenceEntry(
                 plan=plan,
                 equal=parallel == sequential,
-                first_divergence=_first_divergence(sequential, parallel),
+                first_divergence=first_divergence(sequential, parallel),
                 sequential_ms=sequential_ms,
                 parallel_ms=parallel_ms,
             )

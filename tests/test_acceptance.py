@@ -7,7 +7,7 @@ lines; stated runtime budgets are asserted alongside correctness.
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
@@ -140,6 +140,11 @@ def test_morphism_suite():
 
 
 def test_equivalence_theorem_suites():
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        _equivalence_theorem_suites(pool)
+
+
+def _equivalence_theorem_suites(pool):
     rng = random.Random(0x7113)
     started = time.perf_counter()
 
@@ -148,7 +153,7 @@ def test_equivalence_theorem_suites():
     for _ in range(1_000):
         x = rand_text(rng, ALPHABETS[2], rng.randrange(129))
         size = rng.randrange(1, 17)
-        assert morphism_distribution_check(witness, x, size)
+        assert morphism_distribution_check(witness, x, size, pool=pool)
 
     # parallel tree reduction equals the sequential fold, both monoids
     text_ops = chunkable_ops()
@@ -157,9 +162,9 @@ def test_equivalence_theorem_suites():
     for _ in range(1_000):
         fanin = rng.randrange(0, 9)
         texts = [rand_text(rng, ALPHABETS[4], rng.randrange(17)) for _ in range(rng.randrange(25))]
-        assert pmconcat(text_ops, fanin, texts) == mconcat(text_ops, texts)
+        assert pmconcat(text_ops, fanin, texts, pool=pool) == mconcat(text_ops, texts)
         matchers = [to_sm(piece, target) for piece in texts]
-        assert pmconcat(sm_ops, fanin, matchers) == mconcat(sm_ops, matchers)
+        assert pmconcat(sm_ops, fanin, matchers, pool=pool) == mconcat(sm_ops, matchers)
 
     # two-level pipeline over the default plan sweep
     sweeps = 500
@@ -169,7 +174,7 @@ def test_equivalence_theorem_suites():
         target = rand_text(rng, alphabet, rng.randrange(1, 6))
         sequential = to_sm(text, target)
         for plan in default_plan_sweep(len(target)):
-            assert to_sm_par(plan, text, target) == sequential
+            assert to_sm_par(plan, text, target, pool, pool) == sequential
 
     elapsed = time.perf_counter() - started
     assert elapsed <= 120.0
@@ -180,6 +185,11 @@ def test_equivalence_theorem_suites():
 
 
 def test_boundary_adversarial():
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        _boundary_adversarial(pool)
+
+
+def _boundary_adversarial(pool):
     started = time.perf_counter()
     cases = [
         (ByteText(b"ab" * 128), ByteText(b"ababa")),
@@ -191,7 +201,7 @@ def test_boundary_adversarial():
         assert expected  # adversarial setup must actually contain matches
         for size in range(1, len(target)):  # every chunk seam splits a match
             for branch in (2, 3, 8):
-                result = to_sm_par(ChunkPlan(branch, size), text, target)
+                result = to_sm_par(ChunkPlan(branch, size), text, target, pool, pool)
                 assert list(result.indices) == expected
     elapsed = time.perf_counter() - started
     report("boundary-adversarial", f"({elapsed:.1f}s)")

@@ -1,9 +1,10 @@
 import io
 import json
+import threading
 
 import pytest
 
-from parmatch import cli
+from parmatch import StringMatcher, cli, pipeline
 
 
 def invoke(argv):
@@ -74,6 +75,27 @@ class TestRun:
         assert status == cli.EXIT_MATCH
         assert out.splitlines() == ["0", "2", "4"]
 
+    def test_pools_are_shut_down(self, sample):
+        before = threading.active_count()
+        status, out, _ = invoke(
+            ["--target", "aba", "--input", sample, "--mode", "par", "--threads", "2", "--chunk", "2"]
+        )
+        assert status == cli.EXIT_MATCH
+        assert out.splitlines() == ["0", "2", "4"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("flags", [["--verify"], ["--bench", "--chunk", "3"]])
+    def test_divergence_names_first_differing_position(self, sample, monkeypatch, flags):
+        def one_wrong_index(plan, text, target, map_pool=None, reduce_pool=None):
+            return StringMatcher(target, text, (0, 2, 5))
+
+        monkeypatch.setattr(cli, "to_sm_par", one_wrong_index)
+        monkeypatch.setattr(pipeline, "to_sm_par", one_wrong_index)
+        status, _, err = invoke(["--target", "aba", "--input", sample, *flags])
+        assert status == cli.EXIT_DIVERGENCE
+        assert "position 2" in err
+        assert "seq=4, par=5" in err
+
     def test_multiple_inputs(self, sample, tmp_path):
         other = tmp_path / "other.txt"
         other.write_bytes(b"zzz")
@@ -137,12 +159,19 @@ class TestUsageErrors:
         assert status == cli.EXIT_USAGE
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("flag", ["--chunk", "--branch", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_sizes_rejected(self, sample, capsys, flag, value):
+        status, _, _ = invoke(["--target", "aba", "--input", sample, "--mode", "par", flag, value])
+        assert status == cli.EXIT_USAGE
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestBench:
     def test_single_plan_single_rep(self, sample):
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--bench",
-             "--branch", "2", "--chunk", "3", "--reps", "1"]
+             "--branch", "2", "--chunk", "3"]
         )
         assert status == cli.EXIT_MATCH
         lines = out.splitlines()
@@ -151,26 +180,25 @@ class TestBench:
 
     def test_sweep_json(self, sample):
         status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--bench", "--json",
-             "--reps", "1", "--threads", "2"]
+            ["--target", "aba", "--input", sample, "--bench", "--json", "--threads", "2"]
         )
         assert status == cli.EXIT_MATCH
-        payload = json.loads(out)
-        assert payload["path"] == sample
-        for row in payload["rows"]:
-            assert set(row) == {"branch", "chunk_size", "seq_ms", "par_ms", "speedup"}
+        entries = json.loads(out)
+        assert [entry["plan"] for entry in entries] == [
+            {"branch": plan.branch, "chunk_size": plan.chunk_size}
+            for plan in cli._bench_plans(7, 2)
+        ]
+        for entry in entries:
+            assert set(entry) == {
+                "plan", "equal", "first_divergence", "sequential_ms", "parallel_ms", "speedup"
+            }
+            assert entry["equal"] and entry["first_divergence"] is None
 
     def test_chunk_larger_than_input_degenerates(self, sample):
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--bench",
-             "--branch", "2", "--chunk", "1000", "--reps", "1", "--json"]
+             "--branch", "2", "--chunk", "1000", "--json"]
         )
         assert status == cli.EXIT_MATCH
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 1
-
-    def test_bad_reps(self, sample):
-        status, _, err = invoke(
-            ["--target", "aba", "--input", sample, "--bench", "--reps", "0"]
-        )
-        assert status == cli.EXIT_USAGE
+        entries = json.loads(out)
+        assert [entry["plan"] for entry in entries] == [{"branch": 2, "chunk_size": 1000}]

@@ -8,6 +8,7 @@ from parmatch import (
     ByteText,
     StringMatcher,
     TargetMismatchError,
+    default_plan_sweep,
     cast_indices,
     check_monoid_laws,
     check_morphism,
@@ -21,6 +22,7 @@ from parmatch import (
     sm_append,
     sm_empty,
     to_sm,
+    to_sm_par,
     to_sm_witness,
 )
 
@@ -239,6 +241,17 @@ class TestEmptyTargetSemantics:
 
     def test_empty_input_nonempty_target(self):
         assert to_sm(EMPTY, bt("aba")).indices == ()
+
+    @pytest.mark.parametrize("text", [EMPTY, bt("a"), bt("abc"), bt("abcdefgh")])
+    def test_seq_par_and_oracle_agree(self, text):
+        # 0..n-1 are reported and n is not, so the empty input has no match
+        expected = list(range(len(text)))
+        assert naive_match(text, EMPTY) == expected
+        assert list(to_sm(text, EMPTY).indices) == expected
+        plans = default_plan_sweep(target_length=0)
+        assert any(plan.chunk_size == 1 for plan in plans)
+        for plan in plans:
+            assert list(to_sm_par(plan, text, EMPTY).indices) == expected
 
 
 class TestSerialization:

@@ -255,9 +255,10 @@ class TestTwoLevelEquivalence:
     def test_morphism_two_level(self, x, fanin, size):
         witness = length_witness()
         parts = chunk(witness.source, size, x)
-        assert witness.map_fn(x) == pmconcat(
-            witness.target, fanin, pmap(witness.map_fn, parts)
-        )
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert witness.map_fn(x) == pmconcat(
+                witness.target, fanin, pmap(witness.map_fn, parts, pool=pool), pool=pool
+            )
 
 
 class TestPoolConfiguration:

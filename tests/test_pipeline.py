@@ -1,5 +1,7 @@
 import json
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,14 +56,22 @@ class TestToSmPar:
     def test_equals_sequential_for_any_plan(self, case, branch, size):
         text, target = case
         plan = ChunkPlan(branch, size)
-        assert to_sm_par(plan, text, target) == to_sm(text, target)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert to_sm_par(plan, text, target, pool, pool) == to_sm(text, target)
+
+    def test_no_pools_start_no_threads(self):
+        before = threading.active_count()
+        result = to_sm_par(ChunkPlan(2, 3), bt("abababa"), bt("aba"))
+        assert result.indices == (0, 2, 4)
+        assert threading.active_count() == before
 
     def test_deterministic_across_runs(self):
         rng = random.Random(3)
         text = ByteText(bytes(rng.choice(b"ab") for _ in range(400)))
         target = bt("abab")
         plan = ChunkPlan(2, 3)
-        results = {to_sm_par(plan, text, target).indices for _ in range(10)}
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = {to_sm_par(plan, text, target, pool, pool).indices for _ in range(10)}
         assert len(results) == 1
 
 
