@@ -6,7 +6,7 @@ matcher of the whole string, including an occurrence that exists in
 neither half.
 """
 
-from parmatch import ByteText, make_new_indices, naive_match, sm_append, to_sm
+from parmatch import ByteText, naive_match, sm_append, to_sm
 
 target = ByteText(b"abcab")
 whole = ByteText(b"ababcabcab")
@@ -26,9 +26,11 @@ left_matcher = to_sm(left, target)
 right_matcher = to_sm(right, target)
 print(f"left  {bytes(left)!r:>14} -> {list(left_matcher.indices)}")
 print(f"right {bytes(right)!r:>14} -> {list(right_matcher.indices)}")
-print(f"seam scan finds      : {make_new_indices(left, right, target)}")
 
 merged = sm_append(left_matcher, right_matcher)
 print(f"appended matcher     : {list(merged.indices)}")
+# Whatever neither half reported (once shifted) came from the seam rescan.
+from_halves = set(left_matcher.indices) | {i + len(left) for i in right_matcher.indices}
+print(f"created by the seam  : {[i for i in merged.indices if i not in from_halves]}")
 assert merged == matcher
 print("\nappend(left, right) == match(whole)  [exact]")

@@ -1,17 +1,11 @@
 """Parallel byte-string matching via chunkable monoids and tree reduction."""
 
-from .bytetext import EMPTY, ByteText, RangeError, chunkable_ops
+from .bytetext import ByteText, RangeError, chunkable_ops
 from .matcher import (
     StringMatcher,
     TargetMismatchError,
-    cast_indices,
-    is_good_index,
-    make_indices,
-    make_new_indices,
-    make_sm_indices,
     matcher_ops,
     naive_match,
-    shift_indices,
     sm_append,
     sm_empty,
     to_sm,
@@ -20,7 +14,6 @@ from .matcher import (
 from .monoid import (
     ChunkableOps,
     LawReport,
-    LawResult,
     MonoidOps,
     MorphismWitness,
     check_monoid_laws,
@@ -31,37 +24,22 @@ from .monoid import (
     pmap,
     pmconcat,
 )
-from .pipeline import (
-    ChunkPlan,
-    EquivalenceEntry,
-    EquivalenceReport,
-    default_plan_sweep,
-    to_sm_par,
-    verify_equivalence,
-)
+from .pipeline import ChunkPlan, EquivalenceReport, to_sm_par, verify_equivalence
 
 __all__ = [
-    "EMPTY",
     "ByteText",
     "RangeError",
     "chunkable_ops",
     "StringMatcher",
     "TargetMismatchError",
-    "cast_indices",
-    "is_good_index",
-    "make_indices",
-    "make_new_indices",
-    "make_sm_indices",
     "matcher_ops",
     "naive_match",
-    "shift_indices",
     "sm_append",
     "sm_empty",
     "to_sm",
     "to_sm_witness",
     "ChunkableOps",
     "LawReport",
-    "LawResult",
     "MonoidOps",
     "MorphismWitness",
     "check_monoid_laws",
@@ -72,9 +50,7 @@ __all__ = [
     "pmap",
     "pmconcat",
     "ChunkPlan",
-    "EquivalenceEntry",
     "EquivalenceReport",
-    "default_plan_sweep",
     "to_sm_par",
     "verify_equivalence",
 ]

@@ -243,7 +243,11 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                     else _bench_plans(len(text), args.threads)
                 )
                 sweep = verify_equivalence(text, target, plans, map_pool, reduce_pool)
-                print(sweep.to_json() if args.json else sweep.to_text(), file=out)
+                if args.json:
+                    json.dump({"path": path, "entries": sweep.to_json_obj()}, out)
+                    out.write("\n")
+                else:
+                    print(sweep.to_text(), file=out)
                 if not sweep.ok:
                     for entry in sweep.entries:
                         if not entry.equal:

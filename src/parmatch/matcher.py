@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 from .bytetext import ByteText, chunkable_ops
 from .monoid import MonoidOps, MorphismWitness
@@ -32,20 +31,6 @@ from .monoid import MonoidOps, MorphismWitness
 
 class TargetMismatchError(ValueError):
     """Two matchers with different targets were combined."""
-
-
-def is_good_index(text: ByteText, target: ByteText, index: int) -> bool:
-    """Does ``target`` occur at byte offset ``index``, fully in bounds?
-
-    Out-of-range indices (including negative ones) are simply not good;
-    no error is raised.
-    """
-    width = len(target)
-    return (
-        0 <= index
-        and index + width <= len(text)
-        and text.data[index : index + width] == target.data
-    )
 
 
 def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int]:
@@ -62,11 +47,6 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     return [i for i in range(lo, hi + 1) if i <= limit and data[i : i + width] == tg]
 
 
-def make_sm_indices(text: ByteText, target: ByteText) -> list[int]:
-    """Every good index of ``target`` in ``text``, ascending."""
-    return make_indices(text, target, 0, len(text) - 1)
-
-
 @dataclass(frozen=True, slots=True)
 class StringMatcher:
     """Input text plus the sorted good indices of a fixed target.
@@ -81,77 +61,21 @@ class StringMatcher:
     text: ByteText
     indices: tuple[int, ...]
 
-    def to_record(self) -> dict:
-        """Serializable summary; the raw input text is not echoed."""
-        return {
-            "target": self.target.data.decode("utf-8", errors="replace"),
-            "input_length": len(self.text),
-            "indices": list(self.indices),
-        }
-
 
 def sm_empty(target: ByteText) -> StringMatcher:
     """The identity matcher: empty input, no indices."""
     return StringMatcher(target, ByteText(), ())
 
 
-def cast_indices(
-    target: ByteText,
-    left: ByteText,
-    right: ByteText,
-    indices: Sequence[int],
-) -> list[int]:
-    """Re-interpret good indices of ``left`` as good indices of ``left + right``.
-
-    The values are unchanged; appending on the right cannot invalidate an
-    in-bounds occurrence.  Debug builds re-check the claim per index.
-    """
-    if __debug__:
-        combined = left + right
-        assert all(is_good_index(combined, target, i) for i in indices)
-    return list(indices)
-
-
-def make_new_indices(left: ByteText, right: ByteText, target: ByteText) -> list[int]:
-    """Matches created by concatenation itself.
-
-    Only the last ``len(target) - 1`` positions of ``left`` can start an
-    occurrence that straddles the seam, so at most that many candidates
-    are examined regardless of input sizes.  Targets shorter than two
-    bytes cannot straddle anything.
-    """
-    if len(target) < 2:
-        return []
-    return _seam_indices(left + right, len(left), target)
-
-
-def _seam_indices(combined: ByteText, split: int, target: ByteText) -> list[int]:
-    lo = max(split - (len(target) - 1), 0)
-    return make_indices(combined, target, lo, split - 1)
-
-
-def shift_indices(
-    target: ByteText,
-    left: ByteText,
-    right: ByteText,
-    indices: Sequence[int],
-) -> list[int]:
-    """Move good indices of ``right`` up by ``len(left)``.
-
-    The results are good indices of ``left + right``.
-    """
-    if __debug__:
-        assert all(is_good_index(right, target, i) for i in indices)
-    offset = len(left)
-    return [i + offset for i in indices]
-
-
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     """Combine two matchers over the same target.
 
-    Equivalent to concatenating ``cast_indices``, ``make_new_indices``,
-    and ``shift_indices`` outputs; the seam scan here reuses the combined
-    text instead of rebuilding it.
+    The result lists ``a``'s indices unchanged, then the matches that
+    straddle the seam (found by rescanning the last ``len(target) - 1``
+    start positions of ``a.text``), then ``b``'s indices shifted by
+    ``len(a.text)``.  The test suite states the paper's three lemma
+    functions (cast, new, shift) in ``tests/support.py`` and checks this
+    merge against their concatenation.
     """
     if a.target != b.target:
         raise TargetMismatchError(
@@ -161,7 +85,7 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     combined = a.text + b.text
     split = len(a.text)
     kept = list(a.indices)
-    seam = _seam_indices(combined, split, target) if len(target) >= 2 else []
+    seam = make_indices(combined, target, max(split - len(target) + 1, 0), split - 1)
     shifted = [i + split for i in b.indices]
     return StringMatcher(target, combined, tuple(kept + seam + shifted))
 
@@ -173,7 +97,8 @@ def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
     at ``len(text)``, so an empty input has no match; ``to_sm_par`` and
     ``naive_match`` follow the same convention.
     """
-    return StringMatcher(target, text, tuple(make_sm_indices(text, target)))
+    indices = make_indices(text, target, 0, len(text) - 1)
+    return StringMatcher(target, text, tuple(indices))
 
 
 def naive_match(text: ByteText, target: ByteText) -> list[int]:

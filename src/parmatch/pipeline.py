@@ -9,7 +9,6 @@ differential test with timings.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -99,24 +98,21 @@ class EquivalenceReport:
             )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "plan": {
-                        "branch": entry.plan.branch,
-                        "chunk_size": entry.plan.chunk_size,
-                    },
-                    "equal": entry.equal,
-                    "first_divergence": entry.first_divergence,
-                    "sequential_ms": entry.sequential_ms,
-                    "parallel_ms": entry.parallel_ms,
-                    "speedup": entry.speedup,
-                }
-                for entry in self.entries
-            ],
-            indent=2,
-        )
+    def to_json_obj(self) -> list[dict]:
+        return [
+            {
+                "plan": {
+                    "branch": entry.plan.branch,
+                    "chunk_size": entry.plan.chunk_size,
+                },
+                "equal": entry.equal,
+                "first_divergence": entry.first_divergence,
+                "sequential_ms": entry.sequential_ms,
+                "parallel_ms": entry.parallel_ms,
+                "speedup": entry.speedup,
+            }
+            for entry in self.entries
+        ]
 
 
 def first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:

@@ -14,24 +14,21 @@ import pytest
 from parmatch import (
     ByteText,
     ChunkPlan,
-    cast_indices,
-    chunk,
     chunkable_ops,
-    default_plan_sweep,
-    make_indices,
-    make_new_indices,
-    make_sm_indices,
     matcher_ops,
     mconcat,
     morphism_distribution_check,
     naive_match,
     pmconcat,
-    shift_indices,
     sm_append,
     to_sm,
     to_sm_par,
     to_sm_witness,
 )
+from parmatch.matcher import make_indices
+from parmatch.pipeline import default_plan_sweep
+
+from support import cast_indices, make_new_indices, shift_indices, spec_append_indices
 
 ALPHABETS = {2: b"ab", 4: b"abcd", 256: bytes(range(256))}
 
@@ -260,7 +257,8 @@ def test_lemma_level_properties():
         assert shifted == make_indices(combined, target, len(x), len(x) + y_hi)
 
         # mergeNewIndices
-        assert make_sm_indices(x, target) + make_new_indices(x, y, target) == (
+        good = make_indices(x, target, 0, len(x) - 1)
+        assert good + make_new_indices(x, y, target) == (
             make_indices(combined, target, 0, len(x) - 1)
         )
 
@@ -269,11 +267,14 @@ def test_lemma_level_properties():
         assert make_new_indices(ByteText(), x, target) == []
 
         # mapShiftZero
-        good = make_sm_indices(x, target)
         assert shift_indices(target, ByteText(), x, good) == good
 
         # mapCastId
         assert cast_indices(target, x, y, good) == good
+
+        # the production merge is cast + new + shift
+        a, b = to_sm(x, target), to_sm(y, target)
+        assert list(sm_append(a, b).indices) == spec_append_indices(a, b)
     elapsed = time.perf_counter() - started
     report("lemma-level-properties", f"({trials} cases each, {elapsed:.1f}s)")
 

@@ -183,7 +183,9 @@ class TestBench:
             ["--target", "aba", "--input", sample, "--bench", "--json", "--threads", "2"]
         )
         assert status == cli.EXIT_MATCH
-        entries = json.loads(out)
+        line = json.loads(out)
+        assert line["path"] == sample
+        entries = line["entries"]
         assert [entry["plan"] for entry in entries] == [
             {"branch": plan.branch, "chunk_size": plan.chunk_size}
             for plan in cli._bench_plans(7, 2)
@@ -200,5 +202,23 @@ class TestBench:
              "--branch", "2", "--chunk", "1000", "--json"]
         )
         assert status == cli.EXIT_MATCH
-        entries = json.loads(out)
-        assert [entry["plan"] for entry in entries] == [{"branch": 2, "chunk_size": 1000}]
+        line = json.loads(out)
+        assert line["path"] == sample
+        assert [entry["plan"] for entry in line["entries"]] == [
+            {"branch": 2, "chunk_size": 1000}
+        ]
+
+    def test_json_one_line_per_input(self, sample, tmp_path):
+        other = tmp_path / "other.txt"
+        other.write_bytes(b"xabax")
+        status, out, _ = invoke(
+            ["--target", "aba", "--input", sample, "--input", str(other),
+             "--bench", "--json", "--chunk", "2"]
+        )
+        assert status == cli.EXIT_MATCH
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["path"] for line in lines] == [sample, str(other)]
+        for line in lines:
+            assert [entry["plan"] for entry in line["entries"]] == [
+                {"branch": 4, "chunk_size": 2}
+            ]

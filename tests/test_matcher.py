@@ -1,32 +1,41 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from parmatch import (
-    EMPTY,
     ByteText,
     StringMatcher,
     TargetMismatchError,
-    default_plan_sweep,
-    cast_indices,
     check_monoid_laws,
     check_morphism,
-    is_good_index,
-    make_indices,
-    make_new_indices,
-    make_sm_indices,
     matcher_ops,
     naive_match,
-    shift_indices,
     sm_append,
     sm_empty,
     to_sm,
     to_sm_par,
     to_sm_witness,
 )
+from parmatch.bytetext import EMPTY
+from parmatch.matcher import make_indices
+from parmatch.pipeline import default_plan_sweep
 
-from support import bt, byte_texts, dense_cases
+from support import (
+    bt,
+    byte_texts,
+    cast_indices,
+    dense_cases,
+    is_good_index,
+    make_new_indices,
+    shift_indices,
+    spec_append_indices,
+)
+
+
+def full_scan(text, target):
+    """The paper's ``makeSMIndices``: every good index, ascending."""
+    return make_indices(text, target, 0, len(text) - 1)
 
 
 class TestGoodIndex:
@@ -58,9 +67,9 @@ class TestMakeIndices:
         assert make_indices(bt("ababcabcab"), bt("abcab"), 3, 9) == [5]
 
     def test_make_sm_indices_full_scan(self):
-        assert make_sm_indices(bt("abababa"), bt("aba")) == [0, 2, 4]
-        assert make_sm_indices(EMPTY, bt("aba")) == []
-        assert make_sm_indices(bt("aaaa"), bt("aa")) == [0, 1, 2]
+        assert full_scan(bt("abababa"), bt("aba")) == [0, 2, 4]
+        assert full_scan(EMPTY, bt("aba")) == []
+        assert full_scan(bt("aaaa"), bt("aa")) == [0, 1, 2]
 
     @given(dense_cases(), st.data())
     def test_merge_lemma(self, case, data):
@@ -103,7 +112,7 @@ class TestIndexGroups:
     @given(dense_cases(), byte_texts(alphabet_size=2, max_size=16))
     def test_map_cast_id(self, case, right):
         left, target = case
-        indices = make_sm_indices(left, target)
+        indices = full_scan(left, target)
         assert cast_indices(target, left, right, indices) == indices
 
     def test_new_indices_paper_vector(self):
@@ -151,7 +160,7 @@ class TestIndexGroups:
     def test_merge_new_indices_lemma(self, case, right):
         left, target = case
         combined = left + right
-        merged = make_sm_indices(left, target) + make_new_indices(left, right, target)
+        merged = full_scan(left, target) + make_new_indices(left, right, target)
         assert merged == make_indices(combined, target, 0, len(left) - 1)
 
 
@@ -181,16 +190,12 @@ class TestMatcherMonoid:
         # index 5 exists only because of the seam
         assert make_new_indices(left.text, right.text, bt("abcab")) == [5]
 
-    def test_append_is_group_composition(self):
-        target = bt("aba")
-        a = to_sm(bt("abaab"), target)
-        b = to_sm(bt("aaba"), target)
-        composed = (
-            cast_indices(target, a.text, b.text, a.indices)
-            + make_new_indices(a.text, b.text, target)
-            + shift_indices(target, a.text, b.text, b.indices)
-        )
-        assert list(sm_append(a, b).indices) == composed
+    @given(dense_cases(), byte_texts(alphabet_size=2))
+    def test_append_is_group_composition(self, case, other):
+        # the production merge equals the test-side cast + new + shift spec
+        x, target = case
+        a, b = to_sm(x, target), to_sm(other, target)
+        assert list(sm_append(a, b).indices) == spec_append_indices(a, b)
 
     def test_target_mismatch(self):
         with pytest.raises(TargetMismatchError):
@@ -233,6 +238,7 @@ class TestEmptyTargetSemantics:
     def test_every_position_is_good(self):
         matcher = to_sm(bt("abc"), EMPTY)
         assert matcher.indices == (0, 1, 2)
+        assert not is_good_index(bt("abc"), EMPTY, 3)
 
     def test_morphism_still_holds(self):
         assert to_sm(bt("ab") + bt("cd"), EMPTY) == sm_append(
@@ -252,9 +258,3 @@ class TestEmptyTargetSemantics:
         assert any(plan.chunk_size == 1 for plan in plans)
         for plan in plans:
             assert list(to_sm_par(plan, text, EMPTY).indices) == expected
-
-
-class TestSerialization:
-    def test_record_schema(self):
-        record = to_sm(bt("abababa"), bt("aba")).to_record()
-        assert record == {"target": "aba", "input_length": 7, "indices": [0, 2, 4]}

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from parmatch import (
     ByteText,
     ChunkableOps,
-    EMPTY,
     MonoidOps,
     MorphismWitness,
     check_monoid_laws,
@@ -23,6 +22,7 @@ from parmatch import (
     pmap,
     pmconcat,
 )
+from parmatch.bytetext import EMPTY
 
 from support import bt, byte_texts
 

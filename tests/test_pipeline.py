@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parmatch import (
-    EMPTY,
     ByteText,
     ChunkPlan,
-    default_plan_sweep,
     naive_match,
     sm_empty,
     to_sm,
     to_sm_par,
     verify_equivalence,
 )
+from parmatch.bytetext import EMPTY
+from parmatch.pipeline import default_plan_sweep
 
 from support import bt, byte_texts, dense_cases
 
@@ -119,7 +119,7 @@ class TestVerifyEquivalence:
 
     def test_json_shape(self):
         report = verify_equivalence(bt("abababa"), bt("aba"), [ChunkPlan(2, 3)])
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_json_obj()))
         assert payload[0]["plan"] == {"branch": 2, "chunk_size": 3}
         assert payload[0]["equal"] is True
         assert payload[0]["first_divergence"] is None
