@@ -4,7 +4,7 @@ Unlike grep, the input is treated as one byte string with no line
 semantics; reported indices are global byte offsets.  Exit status: 0 if
 any match was found, 1 if none, 2 on usage or I/O errors, 3 when the
 sequential and parallel paths disagree (which is a bug, not a usage
-problem).
+problem), 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -13,43 +13,17 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .bytetext import ByteText
 from .matcher import to_sm
-from .pipeline import ChunkPlan, first_divergence, to_sm_par, verify_equivalence
+from .pipeline import ChunkPlan, timed, to_sm_par, verify_equivalence
 
 EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
-
-
-@dataclass
-class MatchReport:
-    """One input's result, as emitted in JSON mode."""
-
-    path: str
-    target_length: int
-    indices: list[int]
-    mode: str
-    timings_ms: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "path": self.path,
-            "target_length": self.target_length,
-            "indices": self.indices,
-            "count": self.count,
-            "mode": self.mode,
-            "timings_ms": self.timings_ms,
-        }
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for it
 
 
 def _positive_int(value: str) -> int:
@@ -81,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--branch", type=_positive_int, default=4, help="reduction fan-in")
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
-        help="chunk size in bytes (default: input length / threads, min 1)",
+        help="chunk size in bytes (default: input length / (--threads or CPU count), min 1)",
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
         help="worker pool size (default: no thread pool; stages run inline)",
     )
-    parser.add_argument("--json", action="store_true", help="emit MatchReport JSON")
+    parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
         "--verify", action="store_true",
         help="run both paths and fail (status 3) on any divergence",
@@ -147,62 +121,18 @@ def _make_pools(
     return map_pool, reduce_pool
 
 
-def _default_chunk(input_length: int, threads: int | None) -> int:
-    workers = threads or os.cpu_count() or 1
-    return max(input_length // workers, 1)
+def _plans(args: argparse.Namespace, input_length: int) -> list[ChunkPlan]:
+    """The ``--branch``/``--chunk`` plan, or ``--bench``'s input-sized grid.
 
-
-def _plan(args: argparse.Namespace, input_length: int) -> ChunkPlan:
-    chunk = args.chunk if args.chunk is not None else _default_chunk(input_length, args.threads)
-    return ChunkPlan(branch=args.branch, chunk_size=chunk)
-
-
-def _match_one(
-    path: str,
-    text: ByteText,
-    target: ByteText,
-    args: argparse.Namespace,
-    map_pool: Executor | None,
-    reduce_pool: Executor | None,
-    err,
-) -> MatchReport | None:
-    """Run the requested mode(s); None signals a divergence."""
-    mode = "both" if args.verify else args.mode
-    timings: dict[str, float] = {}
-    indices: list[int] = []
-    if mode in ("seq", "both"):
-        started = time.perf_counter()
-        sequential = to_sm(text, target)
-        timings["seq"] = (time.perf_counter() - started) * 1000.0
-        indices = list(sequential.indices)
-    if mode in ("par", "both"):
-        plan = _plan(args, len(text))
-        started = time.perf_counter()
-        parallel = to_sm_par(plan, text, target, map_pool, reduce_pool)
-        timings["par"] = (time.perf_counter() - started) * 1000.0
-        where = first_divergence(sequential, parallel) if mode == "both" else None
-        if where is not None:
-            _print_divergence(path, plan, where, err)
-            return None
-        indices = list(parallel.indices)
-    return MatchReport(
-        path=path,
-        target_length=len(target),
-        indices=indices,
-        mode=mode,
-        timings_ms=timings,
-    )
-
-
-def _bench_plans(input_length: int, threads: int | None) -> list[ChunkPlan]:
-    workers = threads or os.cpu_count() or 1
-    sizes = sorted(
-        {
-            max(input_length // (2 * workers), 1),
-            max(input_length // workers, 1),
-            max(2 * input_length // workers, 1),
-        }
-    )
+    The default chunk size gives each worker one chunk; without ``--chunk``,
+    ``--bench`` sweeps half, one and two chunks per worker at three fan-ins.
+    """
+    if args.chunk is not None:
+        return [ChunkPlan(args.branch, args.chunk)]
+    workers = args.threads or os.cpu_count() or 1
+    if not args.bench:
+        return [ChunkPlan(args.branch, max(input_length // workers, 1))]
+    sizes = sorted({max(input_length * k // (2 * workers), 1) for k in (1, 2, 4)})
     return [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in sizes]
 
 
@@ -228,6 +158,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     if target is None:
         return EXIT_USAGE
 
+    mode = "both" if args.verify or args.bench else args.mode
     paths = args.input or ["-"]
     map_pool, reduce_pool = _make_pools(args)
     try:
@@ -236,36 +167,49 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             text = _read_input(path, err)
             if text is None:
                 return EXIT_USAGE
-            if args.bench:
-                plans = (
-                    [ChunkPlan(args.branch, args.chunk)]
-                    if args.chunk is not None
-                    else _bench_plans(len(text), args.threads)
-                )
-                sweep = verify_equivalence(text, target, plans, map_pool, reduce_pool)
-                if args.json:
-                    json.dump({"path": path, "entries": sweep.to_json_obj()}, out)
+            plans = _plans(args, len(text))
+            if mode == "seq":
+                matcher, seq_ms = timed(to_sm, text, target)
+                timings = {"seq": seq_ms}
+            elif mode == "par":
+                matcher, par_ms = timed(to_sm_par, plans[0], text, target, map_pool, reduce_pool)
+                timings = {"par": par_ms}
+            else:
+                report = verify_equivalence(text, target, plans, map_pool, reduce_pool)
+                if args.bench and args.json:
+                    json.dump({"path": path, "entries": report.to_json_obj()}, out)
                     out.write("\n")
-                else:
-                    print(sweep.to_text(), file=out)
-                if not sweep.ok:
-                    for entry in sweep.entries:
+                elif args.bench:
+                    print(f"path={path}", file=out)
+                    print(report.to_text(), file=out)
+                if not report.ok:
+                    for entry in report.entries:
                         if not entry.equal:
                             _print_divergence(path, entry.plan, entry.first_divergence, err)
                     return EXIT_DIVERGENCE
-                found_any = True
+                matcher = report.sequential
+                first = report.entries[0]
+                timings = {"seq": first.sequential_ms, "par": first.parallel_ms}
+            found_any = found_any or len(matcher.indices) > 0
+            if args.bench:
                 continue
-            report = _match_one(path, text, target, args, map_pool, reduce_pool, err)
-            if report is None:
-                return EXIT_DIVERGENCE
             if args.json:
-                json.dump(report.to_json_obj(), out)
+                json.dump(
+                    {
+                        "path": path,
+                        "target_length": len(target),
+                        "indices": list(matcher.indices),
+                        "count": len(matcher.indices),
+                        "mode": mode,
+                        "timings_ms": timings,
+                    },
+                    out,
+                )
                 out.write("\n")
             else:
-                for index in report.indices:
+                for index in matcher.indices:
                     print(index, file=out)
-                print(f"count={report.count}", file=err)
-            found_any = found_any or report.count > 0
+                print(f"count={len(matcher.indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:
         for pool in (map_pool, reduce_pool):
@@ -274,7 +218,17 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        # Flush inside the try, so a reader that has gone away is seen here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

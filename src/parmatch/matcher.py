@@ -37,8 +37,7 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     """All good indices of ``target`` in ``text`` within ``[lo, hi]``.
 
     An empty range (``hi < lo``) yields an empty list.  The scan checks
-    every candidate position directly; the package's speedup comes from
-    chunked parallelism, not from a cleverer sequential scan.
+    every candidate position directly.
     """
     data = text.data
     tg = target.data

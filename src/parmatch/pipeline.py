@@ -35,6 +35,13 @@ class ChunkPlan:
             raise ValueError(f"branch and chunk_size must be >= 1, got {self}")
 
 
+def timed(fn, *args):
+    """``(fn(*args), wall time in milliseconds)``."""
+    started = time.perf_counter()
+    result = fn(*args)
+    return result, (time.perf_counter() - started) * 1000.0
+
+
 def to_sm_par(
     plan: ChunkPlan,
     text: ByteText,
@@ -44,9 +51,9 @@ def to_sm_par(
 ) -> StringMatcher:
     """Chunked, parallel matching; result is identical to ``to_sm``.
 
-    Chunking happens eagerly up front (it is cheap slicing); the map and
-    reduce stages may use distinct pools so the scan stage can run in a
-    process pool while the cheap merges stay on threads.
+    Chunking happens eagerly up front; the map and reduce stages may use
+    distinct pools so the scan stage can run in a process pool while the
+    cheap merges stay on threads.
     """
     pieces = text.chunks(plan.chunk_size)
     matchers = pmap(partial(to_sm, target=target), pieces, pool=map_pool)
@@ -82,6 +89,7 @@ class EquivalenceEntry:
 @dataclass
 class EquivalenceReport:
     entries: list[EquivalenceEntry]
+    sequential: StringMatcher
 
     @property
     def ok(self) -> bool:
@@ -141,26 +149,23 @@ def verify_equivalence(
 
     Any inequality is reported data here, and a released-code bug there.
     The sequential result does not depend on the plan, so it is computed
-    (and timed) once and compared against every parallel run.
+    (and timed) once, compared against every parallel run and returned
+    as ``sequential``.
     """
     if plans is None:
         plans = default_plan_sweep(len(target))
-    started = time.perf_counter()
-    sequential = to_sm(text, target)
-    sequential_ms = (time.perf_counter() - started) * 1000.0
-
+    sequential, sequential_ms = timed(to_sm, text, target)
     entries = []
     for plan in plans:
-        started = time.perf_counter()
-        parallel = to_sm_par(plan, text, target, map_pool, reduce_pool)
-        parallel_ms = (time.perf_counter() - started) * 1000.0
+        parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool, reduce_pool)
+        where = first_divergence(sequential, parallel)
         entries.append(
             EquivalenceEntry(
                 plan=plan,
-                equal=parallel == sequential,
-                first_divergence=first_divergence(sequential, parallel),
+                equal=where is None,
+                first_divergence=where,
                 sequential_ms=sequential_ms,
                 parallel_ms=parallel_ms,
             )
         )
-    return EquivalenceReport(entries)
+    return EquivalenceReport(entries, sequential)

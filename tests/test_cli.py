@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,29 @@ class TestRun:
         assert "count=3" in err and "count=0" in err
 
 
+class TestMain:
+    def test_closed_pipe_exits_141_without_traceback(self, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_bytes(b"a" * 200_000)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        # About 1.3 MB of output: far more than a pipe holds, so the child is
+        # still writing when the reader goes away.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "parmatch.cli", "--target", "a", "--input", str(path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == b"0\n"
+        child.stdout.close()
+        status = child.wait(timeout=60)
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert status == cli.EXIT_BROKEN_PIPE == 141
+        assert b"Traceback" not in stderr, stderr.decode(errors="replace")
+
+
 class TestJsonOutput:
     def test_match_report_schema(self, sample):
         status, out, _ = invoke(["--target", "aba", "--input", sample, "--json"])
@@ -175,8 +202,24 @@ class TestBench:
         )
         assert status == cli.EXIT_MATCH
         lines = out.splitlines()
-        assert "speedup" in lines[0]
-        assert len(lines) == 2
+        assert lines[0] == f"path={sample}"
+        assert "speedup" in lines[1]
+        assert len(lines) == 3
+
+    def test_absent_target_exits_one(self, sample):
+        status, _, _ = invoke(["--target", "zzz", "--input", sample, "--bench", "--chunk", "3"])
+        assert status == cli.EXIT_NO_MATCH
+
+    def test_text_tables_name_their_input(self, sample, tmp_path):
+        other = tmp_path / "other.txt"
+        other.write_bytes(b"xabax")
+        status, out, _ = invoke(
+            ["--target", "aba", "--input", sample, "--input", str(other),
+             "--bench", "--chunk", "2"]
+        )
+        assert status == cli.EXIT_MATCH
+        paths = [line for line in out.splitlines() if line.startswith("path=")]
+        assert paths == [f"path={sample}", f"path={other}"]
 
     def test_sweep_json(self, sample):
         status, out, _ = invoke(
@@ -187,8 +230,7 @@ class TestBench:
         assert line["path"] == sample
         entries = line["entries"]
         assert [entry["plan"] for entry in entries] == [
-            {"branch": plan.branch, "chunk_size": plan.chunk_size}
-            for plan in cli._bench_plans(7, 2)
+            {"branch": branch, "chunk_size": size} for branch in (2, 4, 8) for size in (1, 3, 7)
         ]
         for entry in entries:
             assert set(entry) == {

@@ -96,6 +96,7 @@ class TestVerifyEquivalence:
     def test_spec_instance(self):
         report = verify_equivalence(bt("abababa"), bt("aba"), [ChunkPlan(2, 3)])
         assert report.ok
+        assert report.sequential == to_sm(bt("abababa"), bt("aba"))
         entry = report.entries[0]
         assert entry.equal and entry.first_divergence is None
         assert entry.sequential_ms >= 0 and entry.parallel_ms >= 0
