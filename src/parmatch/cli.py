@@ -4,7 +4,7 @@ Unlike grep, the input is treated as one byte string with no line
 semantics; reported indices are global byte offsets.  Exit status: 0 if
 any match was found, 1 if none, 2 on usage or I/O errors, 3 when the
 sequential and parallel paths disagree (which is a bug, not a usage
-problem), 141 when stdout's reader goes away.
+problem), 130 on Ctrl-C, 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 from .bytetext import ByteText
 from .matcher import to_sm
@@ -23,7 +24,13 @@ EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
+EXIT_INTERRUPT = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for it
+
+# Indices per write in text mode.  One write per index costs more than the
+# scan; one write of everything lets a closed pipe pass unnoticed, because
+# the kernel reports a short write rather than an error.
+INDEX_BLOCK = 8192
 
 
 def _positive_int(value: str) -> int:
@@ -106,6 +113,16 @@ def _read_input(path: str, err) -> ByteText | None:
         return None
 
 
+def _ignore_sigint() -> None:
+    """Process-pool initializer: leave Ctrl-C to the parent.
+
+    A terminal sends SIGINT to the whole process group.  A worker waiting
+    for its next task would die of it with a traceback; ignoring it lets
+    the parent's shutdown end the workers instead.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _make_pools(
     args: argparse.Namespace,
 ) -> tuple[Executor | None, Executor | None]:
@@ -113,7 +130,11 @@ def _make_pools(
     map_pool = None
     reduce_pool = None
     if args.processes:
-        map_pool = ProcessPoolExecutor(max_workers=args.threads)
+        # Imported here: it pulls in multiprocessing, which the other
+        # paths never use.
+        from concurrent.futures import ProcessPoolExecutor
+
+        map_pool = ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
     elif args.threads:
         map_pool = ThreadPoolExecutor(max_workers=args.threads)
     if args.threads:
@@ -143,6 +164,11 @@ def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
         f"(seq={where['sequential']}, par={where['parallel']})",
         file=err,
     )
+
+
+def _write_json(out, obj: dict) -> None:
+    """One JSON line in one write (``json.dump`` writes once per token)."""
+    out.write(json.dumps(obj) + "\n")
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -177,11 +203,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             else:
                 report = verify_equivalence(text, target, plans, map_pool, reduce_pool)
                 if args.bench and args.json:
-                    json.dump({"path": path, "entries": report.to_json_obj()}, out)
-                    out.write("\n")
+                    _write_json(out, {"path": path, "entries": report.to_json_obj()})
                 elif args.bench:
-                    print(f"path={path}", file=out)
-                    print(report.to_text(), file=out)
+                    out.write(f"path={path}\n{report.to_text()}\n")
                 if not report.ok:
                     for entry in report.entries:
                         if not entry.equal:
@@ -190,26 +214,23 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 matcher = report.sequential
                 first = report.entries[0]
                 timings = {"seq": first.sequential_ms, "par": first.parallel_ms}
-            found_any = found_any or len(matcher.indices) > 0
+            indices = matcher.indices
+            found_any = found_any or len(indices) > 0
             if args.bench:
                 continue
             if args.json:
-                json.dump(
-                    {
-                        "path": path,
-                        "target_length": len(target),
-                        "indices": list(matcher.indices),
-                        "count": len(matcher.indices),
-                        "mode": mode,
-                        "timings_ms": timings,
-                    },
-                    out,
-                )
-                out.write("\n")
+                _write_json(out, {
+                    "path": path,
+                    "target_length": len(target),
+                    "indices": list(indices),
+                    "count": len(indices),
+                    "mode": mode,
+                    "timings_ms": timings,
+                })
             else:
-                for index in matcher.indices:
-                    print(index, file=out)
-                print(f"count={len(matcher.indices)}", file=err)
+                for start in range(0, len(indices), INDEX_BLOCK):
+                    out.write("".join(f"{i}\n" for i in indices[start : start + INDEX_BLOCK]))
+                print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:
         for pool in (map_pool, reduce_pool):
@@ -222,6 +243,9 @@ def main() -> None:
         status = run()
         # Flush inside the try, so a reader that has gone away is seen here.
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        # run's finally has already shut the pools down.
+        sys.exit(EXIT_INTERRUPT)
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; point it at devnull
         # so that flush cannot raise a second time.

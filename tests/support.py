@@ -12,7 +12,6 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from parmatch import ByteText
-from parmatch.matcher import make_indices
 
 
 def bt(value) -> ByteText:
@@ -77,12 +76,14 @@ def make_new_indices(left: ByteText, right: ByteText, target: ByteText) -> list[
     Only the last ``len(target) - 1`` positions of ``left`` can start an
     occurrence that straddles the seam, so at most that many candidates
     are examined regardless of input sizes.  Targets shorter than two
-    bytes cannot straddle anything.
+    bytes cannot straddle anything.  Each candidate is checked with
+    ``is_good_index``, so the spec shares no code with the library's scan.
     """
     if len(target) < 2:
         return []
+    combined = left + right
     lo = max(len(left) - (len(target) - 1), 0)
-    return make_indices(left + right, target, lo, len(left) - 1)
+    return [i for i in range(lo, len(left)) if is_good_index(combined, target, i)]
 
 
 def shift_indices(

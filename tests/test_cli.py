@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -8,13 +9,34 @@ from pathlib import Path
 
 import pytest
 
-from parmatch import StringMatcher, cli, pipeline
+from parmatch import StringMatcher, cli, naive_match, pipeline
+
+from support import bt
+
+
+class CountingOut(io.StringIO):
+    """A stdout stand-in that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     status = cli.run(argv, out=out, err=err)
     return status, out.getvalue(), err.getvalue()
+
+
+def child_env():
+    """The environment with ``src`` on PYTHONPATH, for ``python -m parmatch.cli``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture
@@ -132,8 +154,154 @@ class TestMain:
         assert status == cli.EXIT_BROKEN_PIPE == 141
         assert b"Traceback" not in stderr, stderr.decode(errors="replace")
 
+    @pytest.mark.parametrize(
+        "module, flags",
+        [(cli, []), (pipeline, ["--mode", "par", "--threads", "2", "--chunk", "2"])],
+        ids=["inline-scan", "scan-in-thread-pool"],
+    )
+    def test_ctrl_c_exits_130_without_traceback(self, sample, monkeypatch, capsys,
+                                                module, flags):
+        # With a pool, the scan runs as a map task, so the interrupt reaches
+        # the main thread through a future after the workers have started.
+        raised_in = []
+
+        def interrupted(*args, **kwargs):
+            raised_in.append(threading.current_thread())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, "to_sm", interrupted)
+        monkeypatch.setattr(cli.sys, "argv", ["parmatch", "--target", "aba", "--input", sample,
+                                              *flags])
+        before = threading.active_count()
+        with pytest.raises(SystemExit) as exc:
+            try:
+                cli.main()
+            except KeyboardInterrupt:
+                pytest.fail("main let KeyboardInterrupt escape")
+        assert exc.value.code == cli.EXIT_INTERRUPT == 130
+        assert raised_in
+        assert (raised_in[0] is threading.main_thread()) == (module is cli)
+        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ""
+
+    def test_ctrl_c_to_process_group_leaves_idle_workers_quiet(self, sample):
+        # The child runs the real parallel path, so the process pool's
+        # workers exist and wait for work, then announces itself and sleeps.
+        # SIGINT then goes to its whole process group, as a terminal sends it.
+        argv = ["parmatch", "--target", "aba", "--input", sample, "--mode", "par",
+                "--processes", "--threads", "2", "--chunk", "2"]
+        code = (
+            "import signal, sys, time\n"
+            "from parmatch import cli\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "real = cli.to_sm_par\n"
+            "def then_wait(*args):\n"
+            "    matcher = real(*args)\n"
+            "    print('ready', file=sys.stderr, flush=True)\n"
+            "    time.sleep(60)\n"
+            "    return matcher\n"
+            "cli.to_sm_par = then_wait\n"
+            f"sys.argv = {argv!r}\n"
+            "cli.main()\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], env=child_env(), start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert child.stderr.readline() == b"ready\n"
+            os.killpg(child.pid, signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+        assert child.returncode == cli.EXIT_INTERRUPT, err.decode(errors="replace")
+        assert out == b""
+        assert err == b"", err.decode(errors="replace")
+
+    @pytest.mark.parametrize(
+        "flags, loaded",
+        [(["--mode", "seq"], False),
+         (["--mode", "both", "--processes", "--threads", "1", "--chunk", "2"], True)],
+    )
+    def test_process_pool_imported_only_with_processes(self, sample, flags, loaded):
+        code = (
+            "import io, sys\n"
+            "from parmatch import cli\n"
+            f"status = cli.run({['--target', 'aba', '--input', sample, *flags]!r},"
+            " out=io.StringIO(), err=io.StringIO())\n"
+            "print(status, 'concurrent.futures.process' in sys.modules)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        assert child.stdout.split() == [b"0", str(loaded).encode()]
+
+
+EDGE_COUNTS = [0, cli.INDEX_BLOCK - 1, cli.INDEX_BLOCK, cli.INDEX_BLOCK + 1,
+               3 * cli.INDEX_BLOCK + 5]
+
+
+@pytest.fixture
+def periodic(tmp_path):
+    """Makes a file where ``aba`` occurs ``count`` times, overlapping."""
+
+    def make(count):
+        path = tmp_path / f"periodic-{count}.txt"
+        path.write_bytes(b"ab" * count + b"a")
+        return str(path)
+
+    return make
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    def test_stdout_is_one_line_per_index_at_block_edges(self, periodic, count):
+        path = periodic(count)
+        expected = "".join(
+            f"{i}\n" for i in naive_match(bt(Path(path).read_bytes()), bt("aba"))
+        )
+        out, err = CountingOut(), io.StringIO()
+        status = cli.run(["--target", "aba", "--input", path], out=out, err=err)
+        assert status == (cli.EXIT_MATCH if count else cli.EXIT_NO_MATCH)
+        assert out.getvalue() == expected
+        assert expected.count("\n") == count
+        assert out.writes == -(-count // cli.INDEX_BLOCK)
+        assert err.getvalue() == f"count={count}\n"
+
 
 class TestJsonOutput:
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    def test_match_report_is_one_write(self, periodic, count):
+        path = periodic(count)
+        out = CountingOut()
+        status = cli.run(["--target", "aba", "--input", path, "--json"],
+                         out=out, err=io.StringIO())
+        assert status == (cli.EXIT_MATCH if count else cli.EXIT_NO_MATCH)
+        assert out.writes == 1
+        assert out.getvalue().endswith("}\n")
+        report = json.loads(out.getvalue())
+        assert report == {
+            "path": path,
+            "target_length": 3,
+            "indices": list(range(0, 2 * count, 2)),
+            "count": count,
+            "mode": "seq",
+            "timings_ms": {"seq": report["timings_ms"]["seq"]},
+        }
+
+    def test_bench_line_is_one_write(self, sample):
+        out = CountingOut()
+        status = cli.run(["--target", "aba", "--input", sample, "--bench", "--json",
+                          "--chunk", "2"], out=out, err=io.StringIO())
+        assert status == cli.EXIT_MATCH
+        assert out.writes == 1
+        assert json.loads(out.getvalue())["path"] == sample
+
     def test_match_report_schema(self, sample):
         status, out, _ = invoke(["--target", "aba", "--input", sample, "--json"])
         assert status == cli.EXIT_MATCH
