@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Walkthrough: the two-level parallel pipeline and its verification sweep.
 
-Chunk the input, scan chunks on a worker pool, tree-reduce the matchers,
-and confirm the result is byte-identical to the sequential scan for a
-grid of plans.
+Chunk the input, scan chunks on a worker pool, tree-reduce the matchers
+inline, and confirm the result is byte-identical to the sequential scan
+for a grid of plans.
 """
 
 import random
@@ -22,11 +22,11 @@ print()
 
 plan = ChunkPlan(branch=4, chunk_size=max(len(text) // 8, 1))
 with ThreadPoolExecutor(max_workers=4) as pool:
-    parallel = to_sm_par(plan, text, target, map_pool=pool, reduce_pool=pool)
+    parallel = to_sm_par(plan, text, target, map_pool=pool)
     print(f"plan {plan}: parallel == sequential -> {parallel == sequential}")
     print()
 
     print("default verification sweep (includes a plan that splits every match):")
-    report = verify_equivalence(text, target, map_pool=pool, reduce_pool=pool)
+    report = verify_equivalence(text, target, map_pool=pool)
 print(report.to_text())
 assert report.ok

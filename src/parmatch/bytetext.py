@@ -50,9 +50,6 @@ class ByteText:
     def __bytes__(self) -> bytes:
         return self.data
 
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
     def __add__(self, other: "ByteText") -> "ByteText":
         if not isinstance(other, ByteText):
             return NotImplemented

@@ -14,7 +14,7 @@ import json
 import os
 import signal
 import sys
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 
 from .bytetext import ByteText
 from .matcher import to_sm
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="worker pool size (default: no thread pool; stages run inline)",
+        help="workers for --processes; also sets the default chunk size",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--processes", action="store_true",
-        help="scan chunks in a process pool instead of threads",
+        help="scan chunks in a process pool instead of inline",
     )
     return parser
 
@@ -123,23 +123,18 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _make_pools(
-    args: argparse.Namespace,
-) -> tuple[Executor | None, Executor | None]:
-    """Map-stage and reduce-stage pools; None runs that stage inline."""
-    map_pool = None
-    reduce_pool = None
-    if args.processes:
-        # Imported here: it pulls in multiprocessing, which the other
-        # paths never use.
-        from concurrent.futures import ProcessPoolExecutor
+def _make_pool(args: argparse.Namespace) -> Executor | None:
+    """The scan stage's process pool with ``--processes``, else None (inline).
 
-        map_pool = ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
-    elif args.threads:
-        map_pool = ThreadPoolExecutor(max_workers=args.threads)
-    if args.threads:
-        reduce_pool = ThreadPoolExecutor(max_workers=args.threads)
-    return map_pool, reduce_pool
+    Merges always run inline; a thread pool for them measured no faster.
+    """
+    if not args.processes:
+        return None
+    # Imported here: it pulls in multiprocessing, which the other paths
+    # never use.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
 
 
 def _plans(args: argparse.Namespace, input_length: int) -> list[ChunkPlan]:
@@ -186,7 +181,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
     mode = "both" if args.verify or args.bench else args.mode
     paths = args.input or ["-"]
-    map_pool, reduce_pool = _make_pools(args)
+    pool = _make_pool(args)
     try:
         found_any = False
         for path in paths:
@@ -198,10 +193,10 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 matcher, seq_ms = timed(to_sm, text, target)
                 timings = {"seq": seq_ms}
             elif mode == "par":
-                matcher, par_ms = timed(to_sm_par, plans[0], text, target, map_pool, reduce_pool)
+                matcher, par_ms = timed(to_sm_par, plans[0], text, target, pool)
                 timings = {"par": par_ms}
             else:
-                report = verify_equivalence(text, target, plans, map_pool, reduce_pool)
+                report = verify_equivalence(text, target, plans, pool)
                 if args.bench and args.json:
                     _write_json(out, {"path": path, "entries": report.to_json_obj()})
                 elif args.bench:
@@ -233,9 +228,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:
-        for pool in (map_pool, reduce_pool):
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def main() -> None:
@@ -244,7 +238,7 @@ def main() -> None:
         # Flush inside the try, so a reader that has gone away is seen here.
         sys.stdout.flush()
     except KeyboardInterrupt:
-        # run's finally has already shut the pools down.
+        # run's finally has already shut the pool down.
         sys.exit(EXIT_INTERRUPT)
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; point it at devnull

@@ -1,7 +1,7 @@
 """Monoid algebra: concatenation, chunking, parallel map and tree reduction.
 
 Operation records (:class:`MonoidOps`, :class:`ChunkableOps`) bundle the
-identity/combine/equality functions of a monoid as plain values, so the
+identity and combine functions of a monoid as plain values, so the
 same reduction and law-checking machinery runs over byte strings, string
 matchers, integers, or anything else.
 
@@ -21,9 +21,9 @@ Nothing here assumes commutativity; operands are never reordered.
 from __future__ import annotations
 
 import json
-import operator
 from concurrent.futures import Executor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generic, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -36,13 +36,12 @@ class MonoidOps(Generic[T]):
     """A monoid presented as first-class operations.
 
     ``identity`` is a zero-argument constructor (a fresh identity element
-    per call), ``combine`` the associative binary operation, and ``equal``
-    the element comparison used by law checks.
+    per call) and ``combine`` the associative binary operation.  Law
+    checks compare elements with ``==``.
     """
 
     identity: Callable[[], T]
     combine: Callable[[T, T], T]
-    equal: Callable[[T, T], bool] = field(default=operator.eq, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,8 @@ def pmconcat(
         groups = [items[k : k + fanin] for k in range(0, len(items), fanin)]
         # Termination guard: each round must shrink the operand list.
         assert len(groups) < len(items)
-        items = pmap(lambda group: mconcat(ops, group), groups, pool=pool)
+        # A partial, not a lambda, so that a process pool can pickle it.
+        items = pmap(partial(mconcat, ops), groups, pool=pool)
     return mconcat(ops, items)
 
 
@@ -231,19 +231,15 @@ def check_monoid_laws(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    eq = ops.equal
 
     def left_identity(x: T) -> bool:
-        return eq(ops.combine(ops.identity(), x), x)
+        return ops.combine(ops.identity(), x) == x
 
     def right_identity(x: T) -> bool:
-        return eq(ops.combine(x, ops.identity()), x)
+        return ops.combine(x, ops.identity()) == x
 
     def associativity(x: T, y: T, z: T) -> bool:
-        return eq(
-            ops.combine(ops.combine(x, y), z),
-            ops.combine(x, ops.combine(y, z)),
-        )
+        return ops.combine(ops.combine(x, y), z) == ops.combine(x, ops.combine(y, z))
 
     return LawReport(
         [
@@ -264,13 +260,13 @@ def check_morphism(
         raise ValueError("trials must be >= 1")
     src, tgt, fn = witness.source, witness.target, witness.map_fn
 
-    identity_ok = tgt.equal(fn(src.identity()), tgt.identity())
+    identity_ok = fn(src.identity()) == tgt.identity()
     identity_result = LawResult(
         "maps_identity", 1, identity_ok, None if identity_ok else ()
     )
 
     def distributes(x: S, y: S) -> bool:
-        return tgt.equal(fn(src.combine(x, y)), tgt.combine(fn(x), fn(y)))
+        return fn(src.combine(x, y)) == tgt.combine(fn(x), fn(y))
 
     distribution_result = _run_law(
         src, "distributes_over_combine", 2, distributes, gen, trials
@@ -288,5 +284,5 @@ def morphism_distribution_check(
     parts = chunk(witness.source, size, value)
     whole = witness.map_fn(value)
     rebuilt = mconcat(witness.target, pmap(witness.map_fn, parts, pool=pool))
-    return witness.target.equal(whole, rebuilt)
+    return whole == rebuilt
 

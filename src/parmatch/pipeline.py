@@ -1,10 +1,10 @@
 """Two-level parallel matching and the sequential/parallel cross-check.
 
-:func:`to_sm_par` is the production path: slice the input, scan each
-slice on a worker pool, then tree-reduce the matchers.  Its contract is
-exact equality with the sequential :func:`~parmatch.matcher.to_sm` for
-every plan, and :func:`verify_equivalence` runs that comparison as a
-differential test with timings.
+:func:`to_sm_par` is the production path: slice the input, scan the
+slices on the given pool or inline, then tree-reduce the matchers.  It
+equals the sequential :func:`~parmatch.matcher.to_sm` for every plan,
+and :func:`verify_equivalence` checks that as a differential test with
+timings, scanning on at most one pool and merging inline.
 """
 
 from __future__ import annotations
@@ -51,9 +51,11 @@ def to_sm_par(
 ) -> StringMatcher:
     """Chunked, parallel matching; result is identical to ``to_sm``.
 
-    Chunking happens eagerly up front; the map and reduce stages may use
-    distinct pools so the scan stage can run in a process pool while the
-    cheap merges stay on threads.
+    Chunking happens eagerly up front.  ``map_pool`` scans the chunks and
+    ``reduce_pool`` runs the merge rounds; ``None`` runs a stage inline.
+    Nothing in the package passes ``reduce_pool``; it stays because
+    perfbench's harness calls this with both pools, so retiring it waits
+    for a change to that benchmark.
     """
     pieces = text.chunks(plan.chunk_size)
     matchers = pmap(partial(to_sm, target=target), pieces, pool=map_pool)
@@ -143,9 +145,10 @@ def verify_equivalence(
     target: ByteText,
     plans: list[ChunkPlan] | None = None,
     map_pool: Executor | None = None,
-    reduce_pool: Executor | None = None,
 ) -> EquivalenceReport:
     """Run both paths for every plan and report equality plus timings.
+
+    ``map_pool`` scans the chunks of every parallel run; merges run inline.
 
     Any inequality is reported data here, and a released-code bug there.
     The sequential result does not depend on the plan, so it is computed
@@ -157,7 +160,7 @@ def verify_equivalence(
     sequential, sequential_ms = timed(to_sm, text, target)
     entries = []
     for plan in plans:
-        parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool, reduce_pool)
+        parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool)
         where = first_divergence(sequential, parallel)
         entries.append(
             EquivalenceEntry(

@@ -12,6 +12,7 @@ class TestBasics:
         assert len(bt("")) == 0
         assert len(bt("abc")) == 3
         assert len(bt("ab") + bt("cde")) == 5
+        assert not ByteText(b"") and ByteText(b"a")
 
     def test_append(self):
         assert bt("ab") + bt("cd") == bt("abcd")

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from parmatch import StringMatcher, cli, naive_match, pipeline
+from parmatch import StringMatcher, cli, matcher, naive_match, pipeline
 
 from support import bt
 
@@ -104,11 +105,13 @@ class TestRun:
     def test_pools_are_shut_down(self, sample):
         before = threading.active_count()
         status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--mode", "par", "--threads", "2", "--chunk", "2"]
+            ["--target", "aba", "--input", sample, "--mode", "par", "--processes",
+             "--threads", "2", "--chunk", "2"]
         )
         assert status == cli.EXIT_MATCH
         assert out.splitlines() == ["0", "2", "4"]
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("flags", [["--verify"], ["--bench", "--chunk", "3"]])
     def test_divergence_names_first_differing_position(self, sample, monkeypatch, flags):
@@ -155,21 +158,25 @@ class TestMain:
         assert b"Traceback" not in stderr, stderr.decode(errors="replace")
 
     @pytest.mark.parametrize(
-        "module, flags",
-        [(cli, []), (pipeline, ["--mode", "par", "--threads", "2", "--chunk", "2"])],
-        ids=["inline-scan", "scan-in-thread-pool"],
+        "flags, raises_in_parent",
+        [([], True),
+         (["--mode", "par", "--processes", "--threads", "2", "--chunk", "2"], False)],
+        ids=["inline-scan", "scan-in-process-pool"],
     )
-    def test_ctrl_c_exits_130_without_traceback(self, sample, monkeypatch, capsys,
-                                                module, flags):
-        # With a pool, the scan runs as a map task, so the interrupt reaches
-        # the main thread through a future after the workers have started.
-        raised_in = []
+    def test_ctrl_c_exits_130_without_traceback(self, sample, monkeypatch, capfd,
+                                                flags, raises_in_parent):
+        # With --processes, only a forked worker's scan raises, so the
+        # interrupt reaches the parent through a future after the workers
+        # have started.  The parent's seam scans run the real function.
+        parent = os.getpid()
+        real = matcher.make_indices
 
-        def interrupted(*args, **kwargs):
-            raised_in.append(threading.current_thread())
-            raise KeyboardInterrupt
+        def interrupted(*args):
+            if (os.getpid() == parent) == raises_in_parent:
+                raise KeyboardInterrupt
+            return real(*args)
 
-        monkeypatch.setattr(module, "to_sm", interrupted)
+        monkeypatch.setattr(matcher, "make_indices", interrupted)
         monkeypatch.setattr(cli.sys, "argv", ["parmatch", "--target", "aba", "--input", sample,
                                               *flags])
         before = threading.active_count()
@@ -179,10 +186,9 @@ class TestMain:
             except KeyboardInterrupt:
                 pytest.fail("main let KeyboardInterrupt escape")
         assert exc.value.code == cli.EXIT_INTERRUPT == 130
-        assert raised_in
-        assert (raised_in[0] is threading.main_thread()) == (module is cli)
         assert threading.active_count() == before
-        captured = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err == ""
 
@@ -225,21 +231,24 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, loaded",
         [(["--mode", "seq"], False),
-         (["--mode", "both", "--processes", "--threads", "1", "--chunk", "2"], True)],
+         (["--mode", "both", "--processes", "--threads", "1", "--chunk", "2"], True),
+         (["--mode", "par", "--threads", "2"], False)],
     )
     def test_process_pool_imported_only_with_processes(self, sample, flags, loaded):
+        # No CLI path starts a thread pool, so its module is never loaded.
         code = (
             "import io, sys\n"
             "from parmatch import cli\n"
             f"status = cli.run({['--target', 'aba', '--input', sample, *flags]!r},"
             " out=io.StringIO(), err=io.StringIO())\n"
-            "print(status, 'concurrent.futures.process' in sys.modules)\n"
+            "print(status, 'concurrent.futures.process' in sys.modules,"
+            " 'concurrent.futures.thread' in sys.modules)\n"
         )
         child = subprocess.run(
             [sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
-        assert child.stdout.split() == [b"0", str(loaded).encode()]
+        assert child.stdout.split() == [b"0", str(loaded).encode(), b"False"]
 
 
 EDGE_COUNTS = [0, cli.INDEX_BLOCK - 1, cli.INDEX_BLOCK, cli.INDEX_BLOCK + 1,

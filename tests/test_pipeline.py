@@ -1,7 +1,7 @@
 import json
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,9 +35,14 @@ class TestChunkPlan:
 
 class TestToSmPar:
     def test_spec_vector(self):
-        result = to_sm_par(ChunkPlan(2, 3), bt("abababa"), bt("aba"))
-        assert result == to_sm(bt("abababa"), bt("aba"))
+        text, target = bt("abababa"), bt("aba")
+        result = to_sm_par(ChunkPlan(2, 3), text, target)
+        assert result == to_sm(text, target)
         assert result.indices == (0, 2, 4)
+        # One process pool for both stages: three chunks exceed the fan-in,
+        # so a merge round is pickled to a worker too.
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            assert to_sm_par(ChunkPlan(2, 3), text, target, pool, pool) == result
 
     def test_boundary_split_vector(self):
         # chunk boundary at offset 4 splits the occurrence at index 5
