@@ -11,7 +11,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .monoid import ChunkableOps, chunk
 
@@ -20,8 +20,44 @@ class RangeError(ValueError):
     """A slicing operation was asked for a window outside the value."""
 
 
-@dataclass(frozen=True, slots=True)
-class ByteText:
+class Value:
+    """Base of the immutable value types; their fields are their ``__slots__``.
+
+    Instances compare and hash by field, print as ``Name(field=value, ...)``
+    and pickle by calling the class with their fields.  Subclasses set their
+    fields in ``__init__`` with ``object.__setattr__``; assigning or deleting
+    a field afterwards raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # One C call reads every field: sm_append compares targets on each merge.
+        cls._key = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ByteText(Value):
     """An immutable, freely shareable sequence of bytes.
 
     Matching is byte-exact: text constructors encode to bytes up front and
@@ -29,11 +65,10 @@ class ByteText:
     multi-byte encoded characters without affecting correctness.
     """
 
-    data: bytes = b""
+    __slots__ = ("data",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
+    def __init__(self, data: bytes = b"") -> None:
+        object.__setattr__(self, "data", data if isinstance(data, bytes) else bytes(data))
 
     @classmethod
     def from_text(cls, text: str, encoding: str = "utf-8") -> "ByteText":
@@ -95,7 +130,7 @@ class ByteText:
 EMPTY = ByteText()
 
 
-def chunkable_ops() -> ChunkableOps[ByteText]:
+def chunkable_ops() -> ChunkableOps:
     """ByteText as a chunkable monoid (concatenation with empty identity)."""
     return ChunkableOps(
         identity=ByteText,

@@ -10,15 +10,16 @@ problem), 130 on Ctrl-C, 141 when stdout's reader goes away.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import signal
 import sys
-from concurrent.futures import Executor
 
 from .bytetext import ByteText
 from .matcher import to_sm
+from .monoid import TYPE_CHECKING
 from .pipeline import ChunkPlan, timed, to_sm_par, verify_equivalence
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 EXIT_MATCH = 0
 EXIT_NO_MATCH = 1
@@ -120,6 +121,9 @@ def _ignore_sigint() -> None:
     for its next task would die of it with a traceback; ignoring it lets
     the parent's shutdown end the workers instead.
     """
+    # Imported here: only process-pool workers run this.
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
@@ -163,6 +167,9 @@ def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
 
 def _write_json(out, obj: dict) -> None:
     """One JSON line in one write (``json.dump`` writes once per token)."""
+    # Imported here: only --json and --bench --json write JSON.
+    import json
+
     out.write(json.dumps(obj) + "\n")
 
 

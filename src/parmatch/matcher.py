@@ -22,10 +22,9 @@ differential-test everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
-from .bytetext import ByteText, chunkable_ops
+from .bytetext import ByteText, Value, chunkable_ops
 from .monoid import MonoidOps, MorphismWitness
 
 
@@ -46,8 +45,7 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     return [i for i in range(lo, hi + 1) if i <= limit and data[i : i + width] == tg]
 
 
-@dataclass(frozen=True, slots=True)
-class StringMatcher:
+class StringMatcher(Value):
     """Input text plus the sorted good indices of a fixed target.
 
     Invariant: ``indices`` is strictly increasing and each entry is a good
@@ -56,9 +54,12 @@ class StringMatcher:
     is preserved by :func:`sm_append`.
     """
 
-    target: ByteText
-    text: ByteText
-    indices: tuple[int, ...]
+    __slots__ = ("target", "text", "indices")
+
+    def __init__(self, target: ByteText, text: ByteText, indices: tuple[int, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "indices", indices)
 
 
 def sm_empty(target: ByteText) -> StringMatcher:
@@ -112,12 +113,12 @@ def naive_match(text: ByteText, target: ByteText) -> list[int]:
     return [i for i in range(len(data)) if data[i : i + width] == tg]
 
 
-def matcher_ops(target: ByteText) -> MonoidOps[StringMatcher]:
+def matcher_ops(target: ByteText) -> MonoidOps:
     """StringMatcher (for one fixed target) as a monoid."""
     return MonoidOps(identity=partial(sm_empty, target), combine=sm_append)
 
 
-def to_sm_witness(target: ByteText) -> MorphismWitness[ByteText, StringMatcher]:
+def to_sm_witness(target: ByteText) -> MorphismWitness:
     """The matching map as a morphism from byte strings to matchers."""
     return MorphismWitness(
         source=chunkable_ops(),

@@ -1,7 +1,7 @@
 """Monoid algebra: concatenation, chunking, parallel map and tree reduction.
 
-Operation records (:class:`MonoidOps`, :class:`ChunkableOps`) bundle the
-identity and combine functions of a monoid as plain values, so the
+Operation records (:class:`MonoidOps`, :class:`ChunkableOps`) are plain
+classes that bundle the identity and combine functions of a monoid, so the
 same reduction and law-checking machinery runs over byte strings, string
 matchers, integers, or anything else.
 
@@ -20,19 +20,19 @@ Nothing here assumes commutativity; operands are never reordered.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import Executor, wait
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generic, Sequence, TypeVar
 
-T = TypeVar("T")
-S = TypeVar("S")
-R = TypeVar("R")
+TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs more than parmatch
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+    from typing import Callable, Sequence, TypeVar
+
+    T = TypeVar("T")
+    S = TypeVar("S")
+    R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class MonoidOps(Generic[T]):
+class MonoidOps:
     """A monoid presented as first-class operations.
 
     ``identity`` is a zero-argument constructor (a fresh identity element
@@ -40,37 +40,44 @@ class MonoidOps(Generic[T]):
     checks compare elements with ``==``.
     """
 
-    identity: Callable[[], T]
-    combine: Callable[[T, T], T]
+    def __init__(self, identity: Callable[[], T], combine: Callable[[T, T], T]) -> None:
+        self.identity = identity
+        self.combine = combine
 
 
-@dataclass(frozen=True)
-class ChunkableOps(MonoidOps[T]):
+class ChunkableOps(MonoidOps):
     """A monoid whose elements can be measured, split, and reassembled.
 
     ``combine(take(i, x), drop(i, x))`` must reconstruct ``x`` for every
     ``i`` up to ``length(x)``.
     """
 
-    length: Callable[[T], int]
-    take: Callable[[int, T], T]
-    drop: Callable[[int, T], T]
+    def __init__(
+        self, identity: Callable[[], T], combine: Callable[[T, T], T],
+        length: Callable[[T], int], take: Callable[[int, T], T], drop: Callable[[int, T], T],
+    ) -> None:
+        super().__init__(identity, combine)
+        self.length = length
+        self.take = take
+        self.drop = drop
 
 
-@dataclass(frozen=True)
-class MorphismWitness(Generic[S, T]):
+class MorphismWitness:
     """A claimed structure-preserving map between two monoids.
 
     ``map_fn`` should send the source identity to the target identity and
     distribute over ``combine``; :func:`check_morphism` probes both claims.
     """
 
-    source: ChunkableOps[S]
-    target: MonoidOps[T]
-    map_fn: Callable[[S], T]
+    def __init__(
+        self, source: ChunkableOps, target: MonoidOps, map_fn: Callable[[S], T]
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.map_fn = map_fn
 
 
-def mconcat(ops: MonoidOps[T], items: Sequence[T]) -> T:
+def mconcat(ops: MonoidOps, items: Sequence[T]) -> T:
     """Right fold of ``combine`` over ``items``, seeded with the identity."""
     acc = ops.identity()
     for item in reversed(items):
@@ -78,7 +85,7 @@ def mconcat(ops: MonoidOps[T], items: Sequence[T]) -> T:
     return acc
 
 
-def chunk(ops: ChunkableOps[T], size: int, value: T) -> list[T]:
+def chunk(ops: ChunkableOps, size: int, value: T) -> list[T]:
     """Split ``value`` into pieces of ``size``; ``mconcat`` undoes it.
 
     A value of length <= ``size`` yields a single-element list, so even an
@@ -105,13 +112,16 @@ def pmap(fn: Callable[[S], R], items: Sequence[S], pool: Executor | None = None)
     """
     if pool is None:
         return list(map(fn, items))
+    # Imported here: concurrent.futures loads logging, which inline runs skip.
+    from concurrent.futures import wait
+
     futures = [pool.submit(fn, item) for item in items]
     wait(futures)
     return [future.result() for future in futures]
 
 
 def pmconcat(
-    ops: MonoidOps[T],
+    ops: MonoidOps,
     fanin: int,
     items: Sequence[T],
     pool: Executor | None = None,
@@ -135,12 +145,14 @@ def pmconcat(
     return mconcat(ops, items)
 
 
-@dataclass
 class LawResult:
-    law: str
-    trials: int
-    passed: bool
-    counterexample: tuple | None = None
+    def __init__(
+        self, law: str, trials: int, passed: bool, counterexample: tuple | None = None
+    ) -> None:
+        self.law = law
+        self.trials = trials
+        self.passed = passed
+        self.counterexample = counterexample
 
     def to_line(self) -> str:
         line = f"law={self.law} trials={self.trials} result={'pass' if self.passed else 'fail'}"
@@ -149,9 +161,9 @@ class LawResult:
         return line
 
 
-@dataclass
 class LawReport:
-    results: list[LawResult]
+    def __init__(self, results: list[LawResult]) -> None:
+        self.results = results
 
     @property
     def ok(self) -> bool:
@@ -161,29 +173,22 @@ class LawReport:
         return "\n".join(result.to_line() for result in self.results)
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "law": result.law,
-                    "trials": result.trials,
-                    "passed": result.passed,
-                    "counterexample": (
-                        None
-                        if result.counterexample is None
-                        else [repr(part) for part in result.counterexample]
-                    ),
-                }
-                for result in self.results
-            ],
-            indent=2,
-        )
+        # Imported here: only callers that ask for JSON pay for loading it.
+        import json
+
+        return json.dumps([
+            {
+                "law": result.law,
+                "trials": result.trials,
+                "passed": result.passed,
+                "counterexample": None if result.counterexample is None
+                else [repr(part) for part in result.counterexample],
+            }
+            for result in self.results
+        ], indent=2)
 
 
-def _shrink(
-    ops: MonoidOps[T],
-    witness: tuple,
-    still_fails: Callable[[tuple], bool],
-) -> tuple:
+def _shrink(ops: MonoidOps, witness: tuple, still_fails: Callable[[tuple], bool]) -> tuple:
     """Shrink a failing tuple by repeatedly halving element lengths."""
     if not isinstance(ops, ChunkableOps):
         return witness
@@ -204,7 +209,7 @@ def _shrink(
 
 
 def _run_law(
-    ops: MonoidOps[T],
+    ops: MonoidOps,
     name: str,
     arity: int,
     holds: Callable[..., bool],
@@ -219,11 +224,7 @@ def _run_law(
     return LawResult(name, trials, True)
 
 
-def check_monoid_laws(
-    ops: MonoidOps[T],
-    gen: Callable[[], T],
-    trials: int,
-) -> LawReport:
+def check_monoid_laws(ops: MonoidOps, gen: Callable[[], T], trials: int) -> LawReport:
     """Probe the identity and associativity laws with random elements.
 
     Failure is data, not an exception: the report carries a (shrunk)
@@ -250,11 +251,7 @@ def check_monoid_laws(
     )
 
 
-def check_morphism(
-    witness: MorphismWitness[S, T],
-    gen: Callable[[], S],
-    trials: int,
-) -> LawReport:
+def check_morphism(witness: MorphismWitness, gen: Callable[[], S], trials: int) -> LawReport:
     """Probe identity preservation and distribution over ``combine``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -275,7 +272,7 @@ def check_morphism(
 
 
 def morphism_distribution_check(
-    witness: MorphismWitness[S, T],
+    witness: MorphismWitness,
     value: S,
     size: int,
     pool: Executor | None = None,

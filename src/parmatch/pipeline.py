@@ -10,29 +10,31 @@ timings, scanning on at most one pool and merging inline.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor
-from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
-from .bytetext import ByteText
+from .bytetext import ByteText, Value
 from .matcher import StringMatcher, matcher_ops, to_sm
-from .monoid import pmap, pmconcat
+from .monoid import TYPE_CHECKING, pmap, pmconcat
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkPlan:
+class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
     ``chunk_size`` is the byte length of input slices handed to workers;
-    ``branch`` is the fan-in of the reduction tree.
+    ``branch`` is the fan-in of the reduction tree.  Both are ints >= 1.
     """
 
-    branch: int
-    chunk_size: int
+    __slots__ = ("branch", "chunk_size")
 
-    def __post_init__(self) -> None:
-        if self.branch < 1 or self.chunk_size < 1:
-            raise ValueError(f"branch and chunk_size must be >= 1, got {self}")
+    def __init__(self, branch: int, chunk_size: int) -> None:
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "chunk_size", chunk_size)
+        if not all(type(n) is int and n >= 1 for n in (branch, chunk_size)):
+            raise ValueError(f"branch and chunk_size must be integers >= 1, got {self}")
 
 
 def timed(fn, *args):
@@ -68,30 +70,31 @@ def default_plan_sweep(target_length: int) -> list[ChunkPlan]:
     The extra plan's chunk size is shorter than the target, forcing every
     occurrence to straddle a chunk seam.
     """
-    plans = [
-        ChunkPlan(branch, size) for branch in (2, 4, 8) for size in (1, 7, 64)
-    ]
+    plans = [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in (1, 7, 64)]
     plans.append(ChunkPlan(2, max(target_length - 1, 1)))
     return plans
 
 
-@dataclass
 class EquivalenceEntry:
-    plan: ChunkPlan
-    equal: bool
-    first_divergence: dict | None
-    sequential_ms: float
-    parallel_ms: float
+    def __init__(
+        self, plan: ChunkPlan, equal: bool, first_divergence: dict | None,
+        sequential_ms: float, parallel_ms: float,
+    ) -> None:
+        self.plan = plan
+        self.equal = equal
+        self.first_divergence = first_divergence
+        self.sequential_ms = sequential_ms
+        self.parallel_ms = parallel_ms
 
     @property
     def speedup(self) -> float:
         return self.sequential_ms / self.parallel_ms if self.parallel_ms > 0 else 0.0
 
 
-@dataclass
 class EquivalenceReport:
-    entries: list[EquivalenceEntry]
-    sequential: StringMatcher
+    def __init__(self, entries: list[EquivalenceEntry], sequential: StringMatcher) -> None:
+        self.entries = entries
+        self.sequential = sequential
 
     @property
     def ok(self) -> bool:
@@ -111,10 +114,7 @@ class EquivalenceReport:
     def to_json_obj(self) -> list[dict]:
         return [
             {
-                "plan": {
-                    "branch": entry.plan.branch,
-                    "chunk_size": entry.plan.chunk_size,
-                },
+                "plan": {"branch": entry.plan.branch, "chunk_size": entry.plan.chunk_size},
                 "equal": entry.equal,
                 "first_divergence": entry.first_divergence,
                 "sequential_ms": entry.sequential_ms,
@@ -126,18 +126,17 @@ class EquivalenceReport:
 
 
 def first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:
-    """The first index-list position where the two matchers differ, or None."""
+    """The first index-list position where the two matchers differ, or None.
+
+    A list that ends first reads None there, and so do both lists when only
+    the texts differ.
+    """
     if seq == par:
         return None
-    for position, (a, b) in enumerate(zip(seq.indices, par.indices)):
+    for position, (a, b) in enumerate(zip_longest(seq.indices, par.indices)):
         if a != b:
             return {"position": position, "sequential": a, "parallel": b}
-    position = min(len(seq.indices), len(par.indices))
-    return {
-        "position": position,
-        "sequential": seq.indices[position] if position < len(seq.indices) else None,
-        "parallel": par.indices[position] if position < len(par.indices) else None,
-    }
+    return {"position": len(seq.indices), "sequential": None, "parallel": None}
 
 
 def verify_equivalence(
@@ -163,12 +162,6 @@ def verify_equivalence(
         parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool)
         where = first_divergence(sequential, parallel)
         entries.append(
-            EquivalenceEntry(
-                plan=plan,
-                equal=where is None,
-                first_divergence=where,
-                sequential_ms=sequential_ms,
-                parallel_ms=parallel_ms,
-            )
+            EquivalenceEntry(plan, where is None, where, sequential_ms, parallel_ms)
         )
     return EquivalenceReport(entries, sequential)

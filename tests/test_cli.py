@@ -232,23 +232,47 @@ class TestMain:
         "flags, loaded",
         [(["--mode", "seq"], False),
          (["--mode", "both", "--processes", "--threads", "1", "--chunk", "2"], True),
-         (["--mode", "par", "--threads", "2"], False)],
+         (["--mode", "par", "--threads", "2"], False),
+         (["--mode", "seq", "--json"], False)],
     )
     def test_process_pool_imported_only_with_processes(self, sample, flags, loaded):
-        # No CLI path starts a thread pool, so its module is never loaded.
+        # No CLI path starts a thread pool, so its module is never loaded,
+        # and only --json loads json.
         code = (
             "import io, sys\n"
             "from parmatch import cli\n"
             f"status = cli.run({['--target', 'aba', '--input', sample, *flags]!r},"
             " out=io.StringIO(), err=io.StringIO())\n"
             "print(status, 'concurrent.futures.process' in sys.modules,"
-            " 'concurrent.futures.thread' in sys.modules)\n"
+            " 'concurrent.futures.thread' in sys.modules, 'json' in sys.modules)\n"
         )
         child = subprocess.run(
-            [sys.executable, "-c", code], env=child_env(), capture_output=True, timeout=60
+            [sys.executable, "-S", "-c", code], env=child_env(), capture_output=True,
+            timeout=60,
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
-        assert child.stdout.split() == [b"0", str(loaded).encode(), b"False"]
+        assert child.stdout.split() == [
+            b"0", str(loaded).encode(), b"False", str("--json" in flags).encode()
+        ]
+
+    def test_import_loads_no_heavy_modules(self):
+        # -S keeps site from loading modules (typing, here) before the check.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import parmatch.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=child_env(), capture_output=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        loaded = child.stdout.decode().split()
+        assert "parmatch.cli" in loaded
+        heavy = {"dataclasses", "inspect", "json", "signal", "logging", "typing"}
+        assert [name for name in loaded if name in heavy
+                or name.startswith(("concurrent.futures", "multiprocessing"))] == []
 
 
 EDGE_COUNTS = [0, cli.INDEX_BLOCK - 1, cli.INDEX_BLOCK, cli.INDEX_BLOCK + 1,

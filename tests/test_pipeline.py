@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from parmatch import (
     ByteText,
     ChunkPlan,
+    StringMatcher,
     naive_match,
     sm_empty,
     to_sm,
@@ -16,7 +17,7 @@ from parmatch import (
     verify_equivalence,
 )
 from parmatch.bytetext import EMPTY
-from parmatch.pipeline import default_plan_sweep
+from parmatch.pipeline import default_plan_sweep, first_divergence
 
 from support import bt, byte_texts, dense_cases
 
@@ -95,6 +96,26 @@ class TestBoundaryAdversarial:
         target = bt("aaa")
         result = to_sm_par(ChunkPlan(3, 1), text, target)
         assert list(result.indices) == list(range(48))
+
+
+class TestFirstDivergence:
+    @pytest.mark.parametrize(
+        "seq, par, expected",
+        [((0, 2, 4), (0, 2, 4), None),
+         ((0, 2, 4), (0, 3, 4), (1, 2, 3)),
+         ((0, 2, 4), (0, 2), (2, 4, None)),
+         ((0,), (0, 5), (1, None, 5)),
+         ((), (), (0, None, None))],
+    )
+    def test_names_first_differing_position(self, seq, par, expected):
+        # The last case differs only in its text.
+        a = StringMatcher(bt("a"), bt("a" * 6), seq)
+        b = StringMatcher(bt("a"), bt("a" * (6 if seq else 7)), par)
+        found = first_divergence(a, b)
+        if expected is None:
+            assert found is None
+        else:
+            assert found == dict(zip(("position", "sequential", "parallel"), expected))
 
 
 class TestVerifyEquivalence:
