@@ -138,4 +138,5 @@ def chunkable_ops() -> ChunkableOps:
         length=len,
         take=lambda count, text: text.take(count),
         drop=lambda count, text: text.drop(count),
+        window=lambda offset, length, text: text.substring(offset, length),
     )

@@ -75,19 +75,22 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     start positions of ``a.text``), then ``b``'s indices shifted by
     ``len(a.text)``.  The test suite states the paper's three lemma
     functions (cast, new, shift) in ``tests/support.py`` and checks this
-    merge against their concatenation.
+    merge against their concatenation.  An operand with empty text is the
+    identity, so the other operand is returned as it is.
     """
     if a.target != b.target:
         raise TargetMismatchError(
             f"cannot combine matchers for {a.target!r} and {b.target!r}"
         )
+    if not b.text:
+        return a
+    if not a.text:
+        return b
     target = a.target
     combined = a.text + b.text
     split = len(a.text)
-    kept = list(a.indices)
     seam = make_indices(combined, target, max(split - len(target) + 1, 0), split - 1)
-    shifted = [i + split for i in b.indices]
-    return StringMatcher(target, combined, tuple(kept + seam + shifted))
+    return StringMatcher(target, combined, (*a.indices, *seam, *[i + split for i in b.indices]))
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:

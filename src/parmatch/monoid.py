@@ -49,17 +49,21 @@ class ChunkableOps(MonoidOps):
     """A monoid whose elements can be measured, split, and reassembled.
 
     ``combine(take(i, x), drop(i, x))`` must reconstruct ``x`` for every
-    ``i`` up to ``length(x)``.
+    ``i`` up to ``length(x)``.  ``window(i, n, x)`` is the ``n`` elements
+    of ``x`` from position ``i``, equal to ``take(n, drop(i, x))`` but
+    copying only what it returns.
     """
 
     def __init__(
         self, identity: Callable[[], T], combine: Callable[[T, T], T],
         length: Callable[[T], int], take: Callable[[int, T], T], drop: Callable[[int, T], T],
+        window: Callable[[int, int, T], T],
     ) -> None:
         super().__init__(identity, combine)
         self.length = length
         self.take = take
         self.drop = drop
+        self.window = window
 
 
 class MorphismWitness:
@@ -89,17 +93,15 @@ def chunk(ops: ChunkableOps, size: int, value: T) -> list[T]:
     """Split ``value`` into pieces of ``size``; ``mconcat`` undoes it.
 
     A value of length <= ``size`` yields a single-element list, so even an
-    empty value produces one (empty) chunk.
+    empty value produces one (empty) chunk.  Each piece is cut from
+    ``value`` with one ``window``, so chunking copies each element once.
     """
     if size < 1:
         raise ValueError(f"chunk size must be >= 1, got {size}")
-    parts: list[T] = []
-    rest = value
-    while ops.length(rest) > size:
-        parts.append(ops.take(size, rest))
-        rest = ops.drop(size, rest)
-    parts.append(rest)
-    return parts
+    length = ops.length(value)
+    if length <= size:
+        return [value]
+    return [ops.window(i, min(size, length - i), value) for i in range(0, length, size)]
 
 
 def pmap(fn: Callable[[S], R], items: Sequence[S], pool: Executor | None = None) -> list[R]:

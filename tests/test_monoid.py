@@ -38,6 +38,7 @@ def list_ops() -> ChunkableOps:
         length=len,
         take=lambda i, xs: xs[:i],
         drop=lambda i, xs: xs[i:],
+        window=lambda i, n, xs: xs[i : i + n],
     )
 
 
@@ -89,6 +90,33 @@ class TestChunk:
     def test_reassembly(self, x, size):
         ops = chunkable_ops()
         assert mconcat(ops, chunk(ops, size, x)) == x
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_copies_each_byte_once(self, n, size):
+        # Every operation adds the length of the value it returns, so the
+        # total is the number of bytes chunking copied.
+        copied = 0
+
+        def counted(op):
+            def run(*args):
+                nonlocal copied
+                out = op(*args)
+                copied += len(out)
+                return out
+            return run
+
+        ops = ChunkableOps(
+            identity=ByteText,
+            combine=counted(ByteText.__add__),
+            length=len,
+            take=counted(lambda i, x: x.take(i)),
+            drop=counted(lambda i, x: x.drop(i)),
+            window=counted(lambda i, k, x: x.substring(i, k)),
+        )
+        text = ByteText(bytes(range(256)) * (n // 256))
+        assert b"".join(map(bytes, chunk(ops, size, text))) == bytes(text)
+        assert copied <= 2 * n
 
 
 class TestPmap:
@@ -174,6 +202,7 @@ class TestLawChecker:
             length=len,
             take=lambda i, x: x.take(i),
             drop=lambda i, x: x.drop(i),
+            window=lambda i, n, x: x.substring(i, n),
         )
         gen = lambda: ByteText(rng.randbytes(rng.randrange(1, 16)))
         report = check_monoid_laws(broken, gen, trials=300)
@@ -192,6 +221,7 @@ class TestLawChecker:
             length=len,
             take=lambda i, x: x.take(i),
             drop=lambda i, x: x.drop(i),
+            window=lambda i, n, x: x.substring(i, n),
         )
         gen = lambda: ByteText(rng.randbytes(rng.randrange(8, 64)))
         report = check_monoid_laws(broken, gen, trials=100)

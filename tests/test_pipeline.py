@@ -1,7 +1,7 @@
 import json
 import random
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,9 @@ from parmatch import (
     ByteText,
     ChunkPlan,
     StringMatcher,
+    matcher_ops,
     naive_match,
+    pmconcat,
     sm_empty,
     to_sm,
     to_sm_par,
@@ -20,6 +22,22 @@ from parmatch.bytetext import EMPTY
 from parmatch.pipeline import default_plan_sweep, first_divergence
 
 from support import bt, byte_texts, dense_cases
+
+
+class CountingPool(Executor):
+    """Passes tasks to ``pool`` and counts them; other attributes, such as
+    the worker count, are read from ``pool``."""
+
+    def __init__(self, pool: Executor) -> None:
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return self.pool.submit(fn, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.pool, name)
 
 
 class TestChunkPlan:
@@ -40,10 +58,12 @@ class TestToSmPar:
         result = to_sm_par(ChunkPlan(2, 3), text, target)
         assert result == to_sm(text, target)
         assert result.indices == (0, 2, 4)
-        # One process pool for both stages: three chunks exceed the fan-in,
-        # so a merge round is pickled to a worker too.
         with ProcessPoolExecutor(max_workers=2) as pool:
             assert to_sm_par(ChunkPlan(2, 3), text, target, pool, pool) == result
+            # Three matchers exceed the fan-in, so a merge round is pickled
+            # to a worker.
+            matchers = [to_sm(piece, target) for piece in text.chunks(3)]
+            assert pmconcat(matcher_ops(target), 2, matchers, pool=pool) == result
 
     def test_boundary_split_vector(self):
         # chunk boundary at offset 4 splits the occurrence at index 5
@@ -57,12 +77,12 @@ class TestToSmPar:
         text, target = bt("aabbaabb"), bt("ab")
         assert to_sm_par(ChunkPlan(1, 1), text, target) == to_sm(text, target)
 
-    @given(dense_cases(max_input=48), st.integers(1, 5), st.integers(1, 9))
+    @given(dense_cases(max_input=48), st.integers(1, 5), st.integers(1, 9), st.integers(1, 4))
     @settings(deadline=None)
-    def test_equals_sequential_for_any_plan(self, case, branch, size):
+    def test_equals_sequential_for_any_plan(self, case, branch, size, workers):
         text, target = case
         plan = ChunkPlan(branch, size)
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             assert to_sm_par(plan, text, target, pool, pool) == to_sm(text, target)
 
     def test_no_pools_start_no_threads(self):
@@ -79,6 +99,35 @@ class TestToSmPar:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = {to_sm_par(plan, text, target, pool, pool).indices for _ in range(10)}
         assert len(results) == 1
+
+
+class TestDispatch:
+    """The map stage submits one task per worker, not one per chunk."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_to_sm_par_submits_at_most_one_task_per_worker(self, workers):
+        rng = random.Random(7)
+        text = ByteText(bytes(rng.choices(b"ab", k=8192)))
+        target = ByteText(bytes(rng.choices(b"ab", k=8)))
+        plan = ChunkPlan(2, 4)
+        assert len(text.chunks(plan.chunk_size)) == 2048
+        with ThreadPoolExecutor(max_workers=workers) as inner:
+            pool = CountingPool(inner)
+            result = to_sm_par(plan, text, target, pool)
+        assert 1 <= pool.submits <= workers
+        assert result == to_sm(text, target)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
+        rng = random.Random(9)
+        text = ByteText(bytes(rng.choices(b"abc", k=2048)))
+        target = bt("abca")
+        with ThreadPoolExecutor(max_workers=workers) as inner:
+            pool = CountingPool(inner)
+            for plan in default_plan_sweep(len(target)):
+                before = pool.submits
+                assert verify_equivalence(text, target, [plan], pool).ok
+                assert pool.submits - before <= workers, plan
 
 
 class TestBoundaryAdversarial:
