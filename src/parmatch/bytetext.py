@@ -3,9 +3,9 @@
 ByteText is the domain of every matcher in this package: a thin value
 wrapper around ``bytes`` whose operations (take, drop, substring, chunks)
 have hard preconditions instead of Python's clamping slice semantics.
-Out-of-range requests raise :class:`RangeError` rather than silently
-truncating, so algebraic properties stated about these operations hold
-byte-for-byte.
+They all cut through ``substring``, whose out-of-range requests raise
+:class:`RangeError` rather than silently truncating, so algebraic
+properties stated about these operations hold byte-for-byte.
 """
 
 from __future__ import annotations
@@ -95,21 +95,17 @@ class ByteText(Value):
 
     def take(self, count: int) -> "ByteText":
         """First ``count`` bytes; ``count`` must not exceed the length."""
-        if not 0 <= count <= len(self.data):
-            raise RangeError(f"take {count} from length {len(self.data)}")
-        return ByteText(self.data[:count])
+        return self.substring(0, count)
 
     def drop(self, count: int) -> "ByteText":
         """Everything after the first ``count`` bytes."""
-        if not 0 <= count <= len(self.data):
-            raise RangeError(f"drop {count} from length {len(self.data)}")
-        return ByteText(self.data[count:])
+        return self.substring(count, len(self.data) - count)
 
     def substring(self, offset: int, length: int) -> "ByteText":
         """``length`` bytes starting at ``offset``.
 
-        Equivalent to ``take(length)`` after ``drop(offset)``; the window
-        must lie entirely inside the value.
+        The window must lie entirely inside the value; ``take``, ``drop``
+        and ``chunks`` all cut through this one range check.
         """
         if offset < 0 or length < 0 or offset + length > len(self.data):
             raise RangeError(
@@ -136,7 +132,5 @@ def chunkable_ops() -> ChunkableOps:
         identity=ByteText,
         combine=ByteText.__add__,
         length=len,
-        take=lambda count, text: text.take(count),
-        drop=lambda count, text: text.drop(count),
         window=lambda offset, length, text: text.substring(offset, length),
     )

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="workers for --processes; also sets the default chunk size",
+        help="workers for --processes (at most the CPU count); also sets the default chunk size",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
@@ -127,12 +127,12 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _make_pool(args: argparse.Namespace) -> Executor | None:
-    """The scan stage's process pool with ``--processes``, else None (inline).
+def _make_pool(args: argparse.Namespace, mode: str) -> Executor | None:
+    """The scan stage's process pool with ``--processes`` in a parallel mode, else None.
 
     Merges always run inline; a thread pool for them measured no faster.
     """
-    if not args.processes:
+    if not args.processes or mode == "seq":
         return None
     # Imported here: it pulls in multiprocessing, which the other paths
     # never use.
@@ -186,9 +186,14 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     if target is None:
         return EXIT_USAGE
 
+    if args.processes and (args.threads or 0) > (os.cpu_count() or 1):
+        # A process pool may fork every worker at its first task.
+        print(f"error: --threads {args.threads} exceeds the CPU count with --processes", file=err)
+        return EXIT_USAGE
+
     mode = "both" if args.verify or args.bench else args.mode
     paths = args.input or ["-"]
-    pool = _make_pool(args)
+    pool = _make_pool(args, mode)
     try:
         found_any = False
         for path in paths:

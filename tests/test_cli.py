@@ -233,7 +233,8 @@ class TestMain:
         [(["--mode", "seq"], False),
          (["--mode", "both", "--processes", "--threads", "1", "--chunk", "2"], True),
          (["--mode", "par", "--threads", "2"], False),
-         (["--mode", "seq", "--json"], False)],
+         (["--mode", "seq", "--json"], False),
+         (["--mode", "seq", "--processes"], False)],
     )
     def test_process_pool_imported_only_with_processes(self, sample, flags, loaded):
         # No CLI path starts a thread pool, so its module is never loaded,
@@ -393,6 +394,18 @@ class TestUsageErrors:
         status, _, _ = invoke(["--target", "aba", "--input", sample, "--mode", "par", flag, value])
         assert status == cli.EXIT_USAGE
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_processes_beyond_cpu_count_rejected(self, sample):
+        # A process pool may fork all its workers at once, so this must fail
+        # before any pool starts.  Without --processes the value only sizes chunks.
+        flags = ["--target", "aba", "--input", sample, "--mode", "par",
+                 "--threads", str((os.cpu_count() or 1) + 1)]
+        status, out, err = invoke([*flags, "--processes"])
+        assert status == cli.EXIT_USAGE
+        assert "--threads" in err and "CPU count" in err
+        assert out == ""
+        assert multiprocessing.active_children() == []
+        assert invoke(flags)[0] == cli.EXIT_MATCH
 
 
 class TestBench:

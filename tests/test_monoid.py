@@ -36,8 +36,6 @@ def list_ops() -> ChunkableOps:
         identity=list,
         combine=operator.add,
         length=len,
-        take=lambda i, xs: xs[:i],
-        drop=lambda i, xs: xs[i:],
         window=lambda i, n, xs: xs[i : i + n],
     )
 
@@ -110,8 +108,6 @@ class TestChunk:
             identity=ByteText,
             combine=counted(ByteText.__add__),
             length=len,
-            take=counted(lambda i, x: x.take(i)),
-            drop=counted(lambda i, x: x.drop(i)),
             window=counted(lambda i, k, x: x.substring(i, k)),
         )
         text = ByteText(bytes(range(256)) * (n // 256))
@@ -200,8 +196,6 @@ class TestLawChecker:
             identity=ByteText,
             combine=lambda x, y: x,
             length=len,
-            take=lambda i, x: x.take(i),
-            drop=lambda i, x: x.drop(i),
             window=lambda i, n, x: x.substring(i, n),
         )
         gen = lambda: ByteText(rng.randbytes(rng.randrange(1, 16)))
@@ -219,8 +213,6 @@ class TestLawChecker:
             identity=ByteText,
             combine=lambda x, y: x,
             length=len,
-            take=lambda i, x: x.take(i),
-            drop=lambda i, x: x.drop(i),
             window=lambda i, n, x: x.substring(i, n),
         )
         gen = lambda: ByteText(rng.randbytes(rng.randrange(8, 64)))
@@ -231,8 +223,10 @@ class TestLawChecker:
         assert len(witness) == 1
 
     def test_trials_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             check_monoid_laws(int_add_ops(), lambda: 0, trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_morphism(length_witness(), lambda: EMPTY, trials=0)
 
     def test_text_and_json_serialization(self):
         rng = random.Random(23)
@@ -261,6 +255,8 @@ class TestMorphismChecker:
         report = check_morphism(witness, lambda: EMPTY, trials=5)
         by_law = {result.law: result for result in report.results}
         assert not by_law["maps_identity"].passed
+        assert by_law["maps_identity"].trials == 1
+        assert by_law["maps_identity"].counterexample == ()
 
     @given(byte_texts(max_size=48), st.integers(1, 10))
     @settings(deadline=None)

@@ -1,7 +1,7 @@
 import json
 import random
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +38,20 @@ class CountingPool(Executor):
 
     def __getattr__(self, name):
         return getattr(self.pool, name)
+
+
+class RunRecorder(Executor):
+    """Runs each task inline and keeps its argument: the run of text it scans."""
+
+    def __init__(self, workers: int) -> None:
+        self._max_workers = workers
+        self.runs = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.runs.append(args[0])
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 class TestChunkPlan:
@@ -116,6 +130,23 @@ class TestDispatch:
             result = to_sm_par(plan, text, target, pool)
         assert 1 <= pool.submits <= workers
         assert result == to_sm(text, target)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 1001, 1023, 4097])
+    def test_runs_are_balanced_whole_chunks(self, n, workers):
+        # Runs differ by at most one chunk: ceil-sized runs would give
+        # n=7, workers=2, size 3 the runs [6, 1] instead of [3, 4].
+        text = ByteText(bytes(random.Random(n).choices(b"ab", k=n)))
+        target = bt("aba")
+        sizes = {max(s, 1) for s in (1, 3, n // workers, -(-n // workers), n, n + 5)}
+        for size in sorted(sizes):
+            pool = RunRecorder(workers)
+            assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
+            lengths = [len(run) for run in pool.runs]
+            assert len(lengths) == min(workers, max(-(-n // size), 1)), size
+            assert all(length % size == 0 for length in lengths[:-1]), (size, lengths)
+            assert b"".join(map(bytes, pool.runs)) == bytes(text)
+            assert max(lengths) - min(lengths) <= size, (size, lengths)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
