@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Report every byte offset where a target occurs in the input.",
     )
     target_group = parser.add_mutually_exclusive_group(required=True)
-    target_group.add_argument("--target", help="target string (UTF-8, matched as bytes)")
+    target_group.add_argument("--target", help="target string, matched as its argv bytes")
     target_group.add_argument("--target-hex", help="target as hex bytes, for binary matching")
     parser.add_argument(
         "--input",
@@ -93,7 +93,7 @@ def _parse_target(args: argparse.Namespace, err) -> ByteText | None:
             print("error: --target-hex is not valid hex", file=err)
             return None
     else:
-        raw = args.target.encode("utf-8")
+        raw = args.target.encode("utf-8", "surrogateescape")  # argv bytes, UTF-8 or not
     if not raw:
         print(
             "error: empty target rejected: every position would match; "

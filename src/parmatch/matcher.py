@@ -35,14 +35,15 @@ class TargetMismatchError(ValueError):
 def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int]:
     """All good indices of ``target`` in ``text`` within ``[lo, hi]``.
 
-    An empty range (``hi < lo``) yields an empty list.  The scan checks
-    every candidate position directly.
+    An empty range (``hi < lo``) yields an empty list, and so does
+    ``len(text)``, even for the empty target.  The scan checks every
+    candidate position directly.
     """
     data = text.data
     tg = target.data
     width = len(tg)
-    limit = len(data) - width
-    return [i for i in range(lo, hi + 1) if i <= limit and data[i : i + width] == tg]
+    last = min(hi, len(data) - max(width, 1))
+    return [i for i in range(lo, last + 1) if data[i : i + width] == tg]
 
 
 class StringMatcher(Value):

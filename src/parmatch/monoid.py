@@ -10,8 +10,8 @@ The two reduction paths are deliberately kept both:
 
 * :func:`mconcat` is the sequential right fold and the semantic reference.
 * :func:`pmconcat` chunks the operand list, reduces adjacent groups on a
-  worker pool, and recurses; it must agree with ``mconcat`` exactly for
-  any associative operation, and the test suite holds it to that.
+  worker pool, and recurses (at a fan-in of at least 2); it must agree
+  with ``mconcat`` exactly for any associative operation.
 
 Every function that takes a ``pool`` runs inline when it is ``None``;
 callers that want parallelism pass, and shut down, their own executor.
@@ -130,12 +130,11 @@ def pmconcat(
 
     Groups of ``fanin`` adjacent operands are folded concurrently, then
     the (strictly shorter) list of group results is reduced the same way.
-    A ``fanin`` below 2, or a list no longer than ``fanin``, falls through
-    to the sequential fold.
+    A ``fanin`` below 2 reduces as 2: a right fold over a long list would
+    copy a growing accumulator at every step, quadratic in its size.
     """
     items = list(items)
-    if fanin <= 1:
-        return mconcat(ops, items)
+    fanin = max(fanin, 2)
     while len(items) > fanin:
         groups = [items[k : k + fanin] for k in range(0, len(items), fanin)]
         # Termination guard: each round must shrink the operand list.

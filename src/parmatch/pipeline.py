@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
-    ``chunk_size`` is the byte length of input slices handed to workers;
-    ``branch`` is the fan-in of the reduction tree.  Both are ints >= 1.
+    ``chunk_size`` is the byte length of the slices scanned on their own;
+    ``branch`` is the reduction tree's fan-in (1 acts as 2).  Both are ints >= 1.
     """
 
     __slots__ = ("branch", "chunk_size")
@@ -48,8 +48,6 @@ def timed(fn, *args):
 
 def _scan_run(plan: ChunkPlan, target: ByteText, run: ByteText) -> StringMatcher:
     """One map task: scan each chunk of ``run`` on its own, then fold them."""
-    if len(run) <= plan.chunk_size:  # one chunk: the fold would return its matcher
-        return to_sm(run, target)
     matchers = [to_sm(piece, target) for piece in run.chunks(plan.chunk_size)]
     return pmconcat(matcher_ops(target), plan.branch, matchers)
 

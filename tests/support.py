@@ -1,4 +1,10 @@
-"""Shared helpers, hypothesis strategies and the merge spec for the test suite.
+"""Shared helpers, hypothesis strategies, the merge spec and the path table.
+
+``matching_paths`` lists every way the package turns ``(text, target,
+plan)`` into an index list, and ``assert_paths_agree`` holds each one equal
+to ``naive_match``: over ``path_cases`` in ``tests/test_paths.py`` (random
+bytes plus an adversarial family that puts occurrences on chunk seams), and
+on fixed cases elsewhere.
 
 The spec functions state the paper's seam lemma as three index groups:
 ``cast_indices`` (the left operand's indices, unchanged), ``make_new_indices``
@@ -7,11 +13,15 @@ indices, moved past the left input).  The library has one merge,
 ``sm_append``; the tests hold it equal to ``cast + new + shift``.
 """
 
+import io
+import tempfile
+from pathlib import Path
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from parmatch import ByteText
+from parmatch import ByteText, ChunkPlan, cli, matcher_ops, mconcat, naive_match, pmconcat
+from parmatch import to_sm, to_sm_par, verify_equivalence
 
 
 def bt(value) -> ByteText:
@@ -109,3 +119,110 @@ def spec_append_indices(a, b) -> list[int]:
         + make_new_indices(a.text, b.text, a.target)
         + shift_indices(a.target, a.text, b.text, b.indices)
     )
+
+
+def fibonacci_word(length: int) -> bytes:
+    """The first ``length`` bytes of the Fibonacci word ``abaababaabaab...``."""
+    shorter, word = b"a", b"ab"
+    while len(word) < length:
+        shorter, word = word, word + shorter
+    return word[:length]
+
+
+def period(word: bytes) -> int:
+    """The smallest ``p >= 1`` with ``word[i] == word[i + p]`` wherever both exist."""
+    return next((p for p in range(1, len(word)) if word[p:] == word[:-p]), max(len(word), 1))
+
+
+@st.composite
+def seam_cases(draw, max_size: int = 64):
+    """Adversarial (input, target) pairs, dense in overlapping occurrences.
+
+    Either a Fibonacci-word prefix with one of the word's factors, or a
+    power of a short word, maybe with one byte changed, with a target of
+    period 1, m/2 or m - 1 made from the same word.
+    """
+    n, m = draw(st.integers(0, max_size)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        word, start = fibonacci_word(2 * max_size), draw(st.integers(0, max_size))
+        return ByteText(word[:n]), ByteText(word[start : start + m])
+    p = draw(st.sampled_from([1, max(m // 2, 1), max(m - 1, 1)]))
+    unit = bytes(draw(st.lists(st.sampled_from(b"ab"), min_size=p, max_size=p)))
+    text = (unit * (n // p + 1))[:n]
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        text = text[:i] + draw(st.sampled_from([b"a", b"b", b"z"])) + text[i + 1 :]
+    return ByteText(text), ByteText((unit * (m // p + 1))[:m])
+
+
+@st.composite
+def path_cases(draw):
+    """(input, target, plan): random or adversarial pairs, and chunk sizes of
+    1, below m, m - 1, the target's period, any, and at least the input length."""
+    text, target = draw(st.one_of(
+        dense_cases(), st.tuples(byte_texts(), byte_texts(max_size=4)), seam_cases()
+    ))
+    n, m = len(text), len(target)
+    size = draw(st.one_of(
+        st.sampled_from([1, max(m - 1, 1), period(target.data)]),
+        st.integers(1, max(m - 1, 1)),
+        st.integers(1, max(n, 1)),
+        st.integers(max(n, 1), n + 4),
+    ))
+    return text, target, ChunkPlan(draw(st.integers(1, 5)), size)
+
+
+def _cli_indices(text: ByteText, target: ByteText, plan: ChunkPlan) -> tuple | None:
+    """``parmatch --mode par`` run in-process: the printed indices, or None
+    when the exit status disagrees with them.  The target goes in as argv
+    would pass its bytes, as a string with lone surrogates for non-UTF-8."""
+    out = io.StringIO()
+    argv_target = target.data.decode("utf-8", "surrogateescape")
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "input").write_bytes(text.data)
+        status = cli.run([f"--target={argv_target}", "--input", str(Path(tmp, "input")),
+                          "--mode", "par", "--branch", str(plan.branch),
+                          "--chunk", str(plan.chunk_size)], out=out, err=io.StringIO())
+    indices = tuple(map(int, out.getvalue().split()))
+    return indices if status == (cli.EXIT_MATCH if indices else cli.EXIT_NO_MATCH) else None
+
+
+def matching_paths(threads, processes) -> dict:
+    """Every matching path, as ``name -> f(text, target, plan) -> indices``.
+
+    ``threads`` and ``processes`` are executors the caller owns.  A new path
+    joins the differential suite by adding one entry here.  The ``cli``
+    entry takes only non-empty targets; the CLI rejects the empty one.
+    """
+
+    def par(*pools):
+        return lambda text, target, plan: to_sm_par(plan, text, target, *pools).indices
+
+    def chunk_matchers(text, target, plan):
+        return [to_sm(piece, target) for piece in text.chunks(plan.chunk_size)]
+
+    def verified(text, target, plan):
+        report = verify_equivalence(text, target, [plan], processes)
+        return report.sequential.indices if report.ok else None
+
+    return {
+        "to_sm": lambda text, target, plan: to_sm(text, target).indices,
+        "to_sm_par inline": par(),
+        "to_sm_par threads": par(threads, threads),
+        "to_sm_par processes": par(processes, processes),
+        "verify_equivalence": verified,
+        "pmconcat processes": lambda text, target, plan: pmconcat(
+            matcher_ops(target), plan.branch, chunk_matchers(text, target, plan), processes
+        ).indices,
+        "mconcat": lambda text, target, plan: mconcat(
+            matcher_ops(target), chunk_matchers(text, target, plan)).indices,
+        "cli": _cli_indices,
+    }
+
+
+def assert_paths_agree(paths: dict, text: ByteText, target: ByteText, plan: ChunkPlan) -> None:
+    """Every path of ``matching_paths`` returns ``naive_match``'s indices."""
+    expected = tuple(naive_match(text, target))
+    for name, path in paths.items():
+        if target or name != "cli":
+            assert path(text, target, plan) == expected, name

@@ -60,22 +60,6 @@ class TestRun:
         assert out == ""
         assert "count=0" in err
 
-    def test_par_mode_matches_seq(self, sample):
-        _, seq_out, _ = invoke(["--target", "aba", "--input", sample, "--mode", "seq"])
-        status, par_out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--mode", "par", "--branch", "2", "--chunk", "3"]
-        )
-        assert status == cli.EXIT_MATCH
-        assert par_out == seq_out
-
-    def test_process_pool_scan_stage(self, sample):
-        status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--mode", "both",
-             "--processes", "--chunk", "2", "--threads", "2"]
-        )
-        assert status == cli.EXIT_MATCH
-        assert out.splitlines() == ["0", "2", "4"]
-
     def test_verify_boundary_case(self, tmp_path):
         path = tmp_path / "boundary.txt"
         path.write_bytes(b"ababcabcab")
@@ -364,6 +348,13 @@ class TestBinaryTargets:
         status, out, _ = invoke(["--target-hex", "00ff", "--input", str(path)])
         assert status == cli.EXIT_MATCH
         assert out.splitlines() == ["0", "2"]
+
+    def test_target_that_is_not_utf8(self, tmp_path):
+        # Python hands a non-UTF-8 argv byte over as a lone surrogate.
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"a\xffb")
+        status, out, _ = invoke(["--target", "\udcff", "--input", str(path)])
+        assert (status, out) == (cli.EXIT_MATCH, "1\n")
 
     def test_invalid_hex(self, sample):
         status, _, err = invoke(["--target-hex", "zz", "--input", sample])

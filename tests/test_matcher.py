@@ -14,7 +14,6 @@ from parmatch import (
     sm_append,
     sm_empty,
     to_sm,
-    to_sm_par,
     to_sm_witness,
 )
 from parmatch.bytetext import EMPTY
@@ -22,6 +21,7 @@ from parmatch.matcher import make_indices
 from parmatch.pipeline import default_plan_sweep
 
 from support import (
+    assert_paths_agree,
     bt,
     byte_texts,
     cast_indices,
@@ -66,6 +66,15 @@ class TestMakeIndices:
         assert make_indices(bt("ababcabcab"), bt("abcab"), 0, 9) == [2, 5]
         assert make_indices(bt("ababcabcab"), bt("abcab"), 3, 9) == [5]
 
+    @given(dense_cases(), st.data())
+    def test_any_window_equals_naive_match(self, case, data):
+        # hi < lo, hi past the end, and windows ending in the last m bytes
+        text, target = case
+        lo = data.draw(st.integers(0, len(text) + 1))
+        hi = data.draw(st.integers(lo - 2, len(text) + 2))
+        expected = [i for i in naive_match(text, target) if lo <= i <= hi]
+        assert make_indices(text, target, lo, hi) == expected
+
     def test_make_sm_indices_full_scan(self):
         assert full_scan(bt("abababa"), bt("aba")) == [0, 2, 4]
         assert full_scan(EMPTY, bt("aba")) == []
@@ -92,15 +101,6 @@ class TestOracle:
     def test_empty_target_matches_everywhere(self):
         assert naive_match(bt("abc"), EMPTY) == [0, 1, 2]
         assert naive_match(EMPTY, EMPTY) == []
-
-    @given(dense_cases())
-    def test_to_sm_agrees_with_oracle(self, case):
-        text, target = case
-        assert list(to_sm(text, target).indices) == naive_match(text, target)
-
-    @given(byte_texts(max_size=64), byte_texts(max_size=8))
-    def test_to_sm_agrees_with_oracle_full_alphabet(self, text, target):
-        assert list(to_sm(text, target).indices) == naive_match(text, target)
 
 
 class TestIndexGroups:
@@ -249,12 +249,10 @@ class TestEmptyTargetSemantics:
         assert to_sm(EMPTY, bt("aba")).indices == ()
 
     @pytest.mark.parametrize("text", [EMPTY, bt("a"), bt("abc"), bt("abcdefgh")])
-    def test_seq_par_and_oracle_agree(self, text):
+    def test_seq_par_and_oracle_agree(self, paths, text):
         # 0..n-1 are reported and n is not, so the empty input has no match
-        expected = list(range(len(text)))
-        assert naive_match(text, EMPTY) == expected
-        assert list(to_sm(text, EMPTY).indices) == expected
+        assert naive_match(text, EMPTY) == list(range(len(text)))
         plans = default_plan_sweep(target_length=0)
         assert any(plan.chunk_size == 1 for plan in plans)
         for plan in plans:
-            assert list(to_sm_par(plan, text, EMPTY).indices) == expected
+            assert_paths_agree(paths, text, EMPTY, plan)

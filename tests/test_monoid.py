@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import random
 import threading
@@ -159,9 +160,21 @@ class TestPmap:
 
 class TestPmconcat:
     def test_degenerate_fanin_is_sequential(self):
-        xs = [bt("ab"), bt("c"), bt("d")]
-        assert pmconcat(chunkable_ops(), 0, xs) == mconcat(chunkable_ops(), xs)
-        assert pmconcat(chunkable_ops(), 1, xs) == mconcat(chunkable_ops(), xs)
+        # Fan-in 0 and 1 give the sequential result by a binary tree, so the
+        # bytes copied stay n log n; a right fold copies about n * n / 2.
+        n, copied = 1024, 0
+
+        def combine(x, y):
+            nonlocal copied
+            if x and y:  # an empty operand is returned as is, as sm_append does
+                copied += len(x) + len(y)
+            return x + y if x and y else x or y
+
+        xs = [ByteText(bytes([i % 256])) for i in range(n)]
+        for fanin in (0, 1):
+            copied = 0
+            assert pmconcat(MonoidOps(ByteText, combine), fanin, xs) == mconcat(chunkable_ops(), xs)
+            assert copied <= n * (math.ceil(math.log2(n)) + 1), (fanin, copied)
 
     def test_singleton(self):
         assert pmconcat(chunkable_ops(), 2, [bt("q")]) == bt("q")

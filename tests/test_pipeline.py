@@ -1,27 +1,22 @@
 import json
 import random
 import threading
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from parmatch import (
     ByteText,
     ChunkPlan,
     StringMatcher,
-    matcher_ops,
     naive_match,
-    pmconcat,
-    sm_empty,
     to_sm,
     to_sm_par,
     verify_equivalence,
 )
-from parmatch.bytetext import EMPTY
 from parmatch.pipeline import default_plan_sweep, first_divergence
 
-from support import bt, byte_texts, dense_cases
+from support import assert_paths_agree, bt
 
 
 class CountingPool(Executor):
@@ -67,38 +62,6 @@ class TestChunkPlan:
 
 
 class TestToSmPar:
-    def test_spec_vector(self):
-        text, target = bt("abababa"), bt("aba")
-        result = to_sm_par(ChunkPlan(2, 3), text, target)
-        assert result == to_sm(text, target)
-        assert result.indices == (0, 2, 4)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            assert to_sm_par(ChunkPlan(2, 3), text, target, pool, pool) == result
-            # Three matchers exceed the fan-in, so a merge round is pickled
-            # to a worker.
-            matchers = [to_sm(piece, target) for piece in text.chunks(3)]
-            assert pmconcat(matcher_ops(target), 2, matchers, pool=pool) == result
-
-    def test_boundary_split_vector(self):
-        # chunk boundary at offset 4 splits the occurrence at index 5
-        result = to_sm_par(ChunkPlan(2, 4), bt("ababcabcab"), bt("abcab"))
-        assert result.indices == (2, 5)
-
-    def test_empty_input(self):
-        assert to_sm_par(ChunkPlan(3, 5), EMPTY, bt("aba")) == sm_empty(bt("aba"))
-
-    def test_degenerate_plan_is_sequential(self):
-        text, target = bt("aabbaabb"), bt("ab")
-        assert to_sm_par(ChunkPlan(1, 1), text, target) == to_sm(text, target)
-
-    @given(dense_cases(max_input=48), st.integers(1, 5), st.integers(1, 9), st.integers(1, 4))
-    @settings(deadline=None)
-    def test_equals_sequential_for_any_plan(self, case, branch, size, workers):
-        text, target = case
-        plan = ChunkPlan(branch, size)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            assert to_sm_par(plan, text, target, pool, pool) == to_sm(text, target)
-
     def test_no_pools_start_no_threads(self):
         before = threading.active_count()
         result = to_sm_par(ChunkPlan(2, 3), bt("abababa"), bt("aba"))
@@ -163,19 +126,14 @@ class TestDispatch:
 
 class TestBoundaryAdversarial:
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_periodic_input_chunks_shorter_than_target(self, size):
+    def test_periodic_input_chunks_shorter_than_target(self, paths, size):
         # every occurrence straddles at least one chunk seam
-        text = bt("ab" * 64)
-        target = bt("ababa")
-        assert size < len(target)
-        result = to_sm_par(ChunkPlan(2, size), text, target)
-        assert list(result.indices) == naive_match(text, target)
+        assert size < len("ababa")
+        assert_paths_agree(paths, bt("ab" * 64), bt("ababa"), ChunkPlan(2, size))
 
-    def test_single_byte_chunks_dense_matches(self):
-        text = bt("a" * 50)
-        target = bt("aaa")
-        result = to_sm_par(ChunkPlan(3, 1), text, target)
-        assert list(result.indices) == list(range(48))
+    def test_single_byte_chunks_dense_matches(self, paths):
+        assert naive_match(bt("a" * 50), bt("aaa")) == list(range(48))
+        assert_paths_agree(paths, bt("a" * 50), bt("aaa"), ChunkPlan(3, 1))
 
 
 class TestFirstDivergence:
