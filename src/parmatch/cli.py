@@ -1,10 +1,11 @@
 """Grep-like front end: byte offsets of a target in files or stdin.
 
 Unlike grep, the input is treated as one byte string with no line
-semantics; reported indices are global byte offsets.  Exit status: 0 if
-any match was found, 1 if none, 2 on usage or I/O errors, 3 when the
-sequential and parallel paths disagree (which is a bug, not a usage
-problem), 130 on Ctrl-C, 141 when stdout's reader goes away.
+semantics; reported indices are global byte offsets.  ``--mode`` picks
+the run: ``seq``, ``par``, ``both`` (the two checked against each other)
+or ``bench`` (both timed over a plan sweep).  Exit status: 0 if any
+match, 1 if none, 2 on usage or I/O errors, 3 when the two paths
+disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="input file; '-' or omitted reads stdin (repeatable)",
     )
-    parser.add_argument("--mode", choices=("seq", "par", "both"), default="seq")
+    parser.add_argument(
+        "--mode", choices=("seq", "par", "both", "bench"), default="seq",
+        help="both: check par against seq (exit 3 if they differ); bench: time both on a plan sweep",
+    )
     parser.add_argument("--branch", type=_positive_int, default=4, help="reduction fan-in")
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
@@ -70,14 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workers for --processes (at most the CPU count); also sets the default chunk size",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="run both paths and fail (status 3) on any divergence",
-    )
-    parser.add_argument(
-        "--bench", action="store_true",
-        help="time both paths over a plan sweep; fail (status 3) on any divergence",
-    )
     parser.add_argument(
         "--processes", action="store_true",
         help="scan chunks in a process pool instead of inline",
@@ -127,12 +123,12 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _make_pool(args: argparse.Namespace, mode: str) -> Executor | None:
+def _make_pool(args: argparse.Namespace) -> Executor | None:
     """The scan stage's process pool with ``--processes`` in a parallel mode, else None.
 
     Merges always run inline; a thread pool for them measured no faster.
     """
-    if not args.processes or mode == "seq":
+    if not args.processes or args.mode == "seq":
         return None
     # Imported here: it pulls in multiprocessing, which the other paths
     # never use.
@@ -142,15 +138,15 @@ def _make_pool(args: argparse.Namespace, mode: str) -> Executor | None:
 
 
 def _plans(args: argparse.Namespace, input_length: int) -> list[ChunkPlan]:
-    """The ``--branch``/``--chunk`` plan, or ``--bench``'s input-sized grid.
+    """The ``--branch``/``--chunk`` plan, or ``--mode bench``'s input-sized grid.
 
     The default chunk size gives each worker one chunk; without ``--chunk``,
-    ``--bench`` sweeps half, one and two chunks per worker at three fan-ins.
+    ``--mode bench`` sweeps half, one and two chunks per worker at three fan-ins.
     """
     if args.chunk is not None:
         return [ChunkPlan(args.branch, args.chunk)]
     workers = args.threads or os.cpu_count() or 1
-    if not args.bench:
+    if args.mode != "bench":
         return [ChunkPlan(args.branch, max(input_length // workers, 1))]
     sizes = sorted({max(input_length * k // (2 * workers), 1) for k in (1, 2, 4)})
     return [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in sizes]
@@ -167,7 +163,7 @@ def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
 
 def _write_json(out, obj: dict) -> None:
     """One JSON line in one write (``json.dump`` writes once per token)."""
-    # Imported here: only --json and --bench --json write JSON.
+    # Imported here: only --json writes JSON.
     import json
 
     out.write(json.dumps(obj) + "\n")
@@ -191,9 +187,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         print(f"error: --threads {args.threads} exceeds the CPU count with --processes", file=err)
         return EXIT_USAGE
 
-    mode = "both" if args.verify or args.bench else args.mode
     paths = args.input or ["-"]
-    pool = _make_pool(args, mode)
+    pool = _make_pool(args)
     try:
         found_any = False
         for path in paths:
@@ -201,17 +196,17 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             if text is None:
                 return EXIT_USAGE
             plans = _plans(args, len(text))
-            if mode == "seq":
+            if args.mode == "seq":
                 matcher, seq_ms = timed(to_sm, text, target)
                 timings = {"seq": seq_ms}
-            elif mode == "par":
+            elif args.mode == "par":
                 matcher, par_ms = timed(to_sm_par, plans[0], text, target, pool)
                 timings = {"par": par_ms}
             else:
                 report = verify_equivalence(text, target, plans, pool)
-                if args.bench and args.json:
+                if args.mode == "bench" and args.json:
                     _write_json(out, {"path": path, "entries": report.to_json_obj()})
-                elif args.bench:
+                elif args.mode == "bench":
                     out.write(f"path={path}\n{report.to_text()}\n")
                 if not report.ok:
                     for entry in report.entries:
@@ -223,7 +218,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 timings = {"seq": first.sequential_ms, "par": first.parallel_ms}
             indices = matcher.indices
             found_any = found_any or len(indices) > 0
-            if args.bench:
+            if args.mode == "bench":
                 continue
             if args.json:
                 _write_json(out, {
@@ -231,7 +226,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                     "target_length": len(target),
                     "indices": list(indices),
                     "count": len(indices),
-                    "mode": mode,
+                    "mode": args.mode,
                     "timings_ms": timings,
                 })
             else:

@@ -36,14 +36,14 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     """All good indices of ``target`` in ``text`` within ``[lo, hi]``.
 
     An empty range (``hi < lo``) yields an empty list, and so does
-    ``len(text)``, even for the empty target.  The scan checks every
-    candidate position directly.
+    ``len(text)``, even for the empty target.  A negative ``lo`` reads
+    as 0.  The scan checks every candidate position directly.
     """
     data = text.data
     tg = target.data
     width = len(tg)
     last = min(hi, len(data) - max(width, 1))
-    return [i for i in range(lo, last + 1) if data[i : i + width] == tg]
+    return [i for i in range(max(lo, 0), last + 1) if data[i : i + width] == tg]
 
 
 class StringMatcher(Value):
@@ -90,7 +90,7 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     target = a.target
     combined = a.text + b.text
     split = len(a.text)
-    seam = make_indices(combined, target, max(split - len(target) + 1, 0), split - 1)
+    seam = make_indices(combined, target, split - len(target) + 1, split - 1)
     return StringMatcher(target, combined, (*a.indices, *seam, *[i + split for i in b.indices]))
 
 

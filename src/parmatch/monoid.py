@@ -128,10 +128,11 @@ def pmconcat(
 ) -> T:
     """Tree-structured reduction, exactly equal to :func:`mconcat`.
 
-    Groups of ``fanin`` adjacent operands are folded concurrently, then
-    the (strictly shorter) list of group results is reduced the same way.
-    A ``fanin`` below 2 reduces as 2: a right fold over a long list would
-    copy a growing accumulator at every step, quadratic in its size.
+    Groups of ``fanin`` adjacent operands (at least 2) are folded
+    concurrently, then the (strictly shorter) list of group results is
+    reduced the same way.  Each group, and the last ``fanin`` or fewer
+    operands, fold by rounds of adjacent pairs, a balanced binary tree:
+    a right fold would copy a growing accumulator at every step.
     """
     items = list(items)
     fanin = max(fanin, 2)
@@ -139,8 +140,11 @@ def pmconcat(
         groups = [items[k : k + fanin] for k in range(0, len(items), fanin)]
         # Termination guard: each round must shrink the operand list.
         assert len(groups) < len(items)
-        # A partial, not a lambda, so that a process pool can pickle it.
-        items = pmap(partial(mconcat, ops), groups, pool=pool)
+        # Recursing on a group runs only the pairwise fold.  A partial pickles; a lambda would not.
+        items = pmap(partial(pmconcat, ops, fanin), groups, pool=pool)
+    while len(items) > 2:
+        pairs = zip(items[::2], items[1::2])
+        items = [ops.combine(a, b) for a, b in pairs] + items[len(items) // 2 * 2 :]
     return mconcat(ops, items)
 
 

@@ -27,7 +27,8 @@ class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
     ``chunk_size`` is the byte length of the slices scanned on their own;
-    ``branch`` is the reduction tree's fan-in (1 acts as 2).  Both are ints >= 1.
+    ``branch`` is the reduction tree's fan-in (1 acts as 2); each group folds
+    as a binary tree, so no fan-in makes the merges quadratic.  Both are ints >= 1.
     """
 
     __slots__ = ("branch", "chunk_size")

@@ -1,10 +1,10 @@
 """Shared helpers, hypothesis strategies, the merge spec and the path table.
 
 ``matching_paths`` lists every way the package turns ``(text, target,
-plan)`` into an index list, and ``assert_paths_agree`` holds each one equal
-to ``naive_match``: over ``path_cases`` in ``tests/test_paths.py`` (random
-bytes plus an adversarial family that puts occurrences on chunk seams), and
-on fixed cases elsewhere.
+plan)`` into an index list, and ``tests/test_paths.py`` holds each one
+equal to ``naive_match`` over ``path_cases`` (random bytes plus an
+adversarial family that puts occurrences on chunk seams) and its fixed
+examples.
 
 The spec functions state the paper's seam lemma as three index groups:
 ``cast_indices`` (the left operand's indices, unchanged), ``make_new_indices``
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from parmatch import ByteText, ChunkPlan, cli, matcher_ops, mconcat, naive_match, pmconcat
+from parmatch import ByteText, ChunkPlan, cli, matcher_ops, mconcat, pmconcat
 from parmatch import to_sm, to_sm_par, verify_equivalence
 
 
@@ -218,11 +218,3 @@ def matching_paths(threads, processes) -> dict:
             matcher_ops(target), chunk_matchers(text, target, plan)).indices,
         "cli": _cli_indices,
     }
-
-
-def assert_paths_agree(paths: dict, text: ByteText, target: ByteText, plan: ChunkPlan) -> None:
-    """Every path of ``matching_paths`` returns ``naive_match``'s indices."""
-    expected = tuple(naive_match(text, target))
-    for name, path in paths.items():
-        if target or name != "cli":
-            assert path(text, target, plan) == expected, name

@@ -64,7 +64,7 @@ class TestRun:
         path = tmp_path / "boundary.txt"
         path.write_bytes(b"ababcabcab")
         status, out, _ = invoke(
-            ["--target", "abcab", "--verify", "--branch", "2", "--chunk", "4",
+            ["--target", "abcab", "--mode", "both", "--branch", "2", "--chunk", "4",
              "--input", str(path)]
         )
         assert status == cli.EXIT_MATCH
@@ -97,7 +97,7 @@ class TestRun:
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("flags", [["--verify"], ["--bench", "--chunk", "3"]])
+    @pytest.mark.parametrize("flags", [["--mode", "both"], ["--mode", "bench", "--chunk", "3"]])
     def test_divergence_names_first_differing_position(self, sample, monkeypatch, flags):
         def one_wrong_index(plan, text, target, map_pool=None, reduce_pool=None):
             return StringMatcher(target, text, (0, 2, 5))
@@ -314,7 +314,7 @@ class TestJsonOutput:
 
     def test_bench_line_is_one_write(self, sample):
         out = CountingOut()
-        status = cli.run(["--target", "aba", "--input", sample, "--bench", "--json",
+        status = cli.run(["--target", "aba", "--input", sample, "--mode", "bench", "--json",
                           "--chunk", "2"], out=out, err=io.StringIO())
         assert status == cli.EXIT_MATCH
         assert out.writes == 1
@@ -386,6 +386,17 @@ class TestUsageErrors:
         assert status == cli.EXIT_USAGE
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    def test_removed_selectors_exit_two(self, sample, capsys):
+        # --mode alone picks the run; --verify and --bench are not options.
+        help_text = cli.build_parser().format_help()
+        assert "--mode {seq,par,both,bench}" in help_text
+        for flag in ("--verify", "--bench"):
+            assert flag not in help_text
+            status, out, _ = invoke(["--target", "aba", "--input", sample, flag])
+            err = capsys.readouterr().err
+            assert (status, out) == (cli.EXIT_USAGE, "")
+            assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
     def test_processes_beyond_cpu_count_rejected(self, sample):
         # A process pool may fork all its workers at once, so this must fail
         # before any pool starts.  Without --processes the value only sizes chunks.
@@ -402,7 +413,7 @@ class TestUsageErrors:
 class TestBench:
     def test_single_plan_single_rep(self, sample):
         status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--bench",
+            ["--target", "aba", "--input", sample, "--mode", "bench",
              "--branch", "2", "--chunk", "3"]
         )
         assert status == cli.EXIT_MATCH
@@ -412,7 +423,9 @@ class TestBench:
         assert len(lines) == 3
 
     def test_absent_target_exits_one(self, sample):
-        status, _, _ = invoke(["--target", "zzz", "--input", sample, "--bench", "--chunk", "3"])
+        status, _, _ = invoke(
+            ["--target", "zzz", "--input", sample, "--mode", "bench", "--chunk", "3"]
+        )
         assert status == cli.EXIT_NO_MATCH
 
     def test_text_tables_name_their_input(self, sample, tmp_path):
@@ -420,7 +433,7 @@ class TestBench:
         other.write_bytes(b"xabax")
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--input", str(other),
-             "--bench", "--chunk", "2"]
+             "--mode", "bench", "--chunk", "2"]
         )
         assert status == cli.EXIT_MATCH
         paths = [line for line in out.splitlines() if line.startswith("path=")]
@@ -428,7 +441,7 @@ class TestBench:
 
     def test_sweep_json(self, sample):
         status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--bench", "--json", "--threads", "2"]
+            ["--target", "aba", "--input", sample, "--mode", "bench", "--json", "--threads", "2"]
         )
         assert status == cli.EXIT_MATCH
         line = json.loads(out)
@@ -445,7 +458,7 @@ class TestBench:
 
     def test_chunk_larger_than_input_degenerates(self, sample):
         status, out, _ = invoke(
-            ["--target", "aba", "--input", sample, "--bench",
+            ["--target", "aba", "--input", sample, "--mode", "bench",
              "--branch", "2", "--chunk", "1000", "--json"]
         )
         assert status == cli.EXIT_MATCH
@@ -460,7 +473,7 @@ class TestBench:
         other.write_bytes(b"xabax")
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--input", str(other),
-             "--bench", "--json", "--chunk", "2"]
+             "--mode", "bench", "--json", "--chunk", "2"]
         )
         assert status == cli.EXIT_MATCH
         lines = [json.loads(line) for line in out.splitlines()]

@@ -160,8 +160,9 @@ class TestPmap:
 
 class TestPmconcat:
     def test_degenerate_fanin_is_sequential(self):
-        # Fan-in 0 and 1 give the sequential result by a binary tree, so the
-        # bytes copied stay n log n; a right fold copies about n * n / 2.
+        # Every fan-in, degenerate or past the operand count, folds its groups
+        # as binary trees, so the bytes copied stay n log n; a right fold
+        # copies about n * n / 2.
         n, copied = 1024, 0
 
         def combine(x, y):
@@ -171,7 +172,7 @@ class TestPmconcat:
             return x + y if x and y else x or y
 
         xs = [ByteText(bytes([i % 256])) for i in range(n)]
-        for fanin in (0, 1):
+        for fanin in (0, 1, 2, 4, 8, 64, 1024, 10**6):
             copied = 0
             assert pmconcat(MonoidOps(ByteText, combine), fanin, xs) == mconcat(chunkable_ops(), xs)
             assert copied <= n * (math.ceil(math.log2(n)) + 1), (fanin, copied)
