@@ -77,16 +77,12 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     ``len(a.text)``.  The test suite states the paper's three lemma
     functions (cast, new, shift) in ``tests/support.py`` and checks this
     merge against their concatenation.  An operand with empty text is the
-    identity, so the other operand is returned as it is.
+    identity: its seam window is empty, so the result equals the other operand.
     """
     if a.target != b.target:
         raise TargetMismatchError(
             f"cannot combine matchers for {a.target!r} and {b.target!r}"
         )
-    if not b.text:
-        return a
-    if not a.text:
-        return b
     target = a.target
     combined = a.text + b.text
     split = len(a.text)

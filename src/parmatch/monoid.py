@@ -10,8 +10,8 @@ The two reduction paths are deliberately kept both:
 
 * :func:`mconcat` is the sequential right fold and the semantic reference.
 * :func:`pmconcat` chunks the operand list, reduces adjacent groups on a
-  worker pool, and recurses (at a fan-in of at least 2); it must agree
-  with ``mconcat`` exactly for any associative operation.
+  worker pool, and recurses (at a fan-in of at least 2) with no identity
+  seed; it must agree with ``mconcat`` exactly for any associative operation.
 
 Every function that takes a ``pool`` runs inline when it is ``None``;
 callers that want parallelism pass, and shut down, their own executor.
@@ -131,8 +131,10 @@ def pmconcat(
     Groups of ``fanin`` adjacent operands (at least 2) are folded
     concurrently, then the (strictly shorter) list of group results is
     reduced the same way.  Each group, and the last ``fanin`` or fewer
-    operands, fold by rounds of adjacent pairs, a balanced binary tree:
-    a right fold would copy a growing accumulator at every step.
+    operands, fold by rounds of adjacent pairs down to one operand, a
+    balanced binary tree: a right fold would copy a growing accumulator at
+    every step.  No fold is seeded with the identity, so ``n`` operands
+    take ``n - 1`` combines, and only an empty list calls ``identity``.
     """
     items = list(items)
     fanin = max(fanin, 2)
@@ -142,10 +144,10 @@ def pmconcat(
         assert len(groups) < len(items)
         # Recursing on a group runs only the pairwise fold.  A partial pickles; a lambda would not.
         items = pmap(partial(pmconcat, ops, fanin), groups, pool=pool)
-    while len(items) > 2:
+    while len(items) > 1:
         pairs = zip(items[::2], items[1::2])
         items = [ops.combine(a, b) for a, b in pairs] + items[len(items) // 2 * 2 :]
-    return mconcat(ops, items)
+    return items[0] if items else ops.identity()
 
 
 class LawResult:

@@ -1,9 +1,9 @@
 """Two-level parallel matching and the sequential/parallel cross-check.
 
-:func:`to_sm_par` is the production path: cut the input into one run of
-chunks per worker, let each worker scan and fold its run (or do that
-inline), then tree-reduce the per-run matchers.  It equals the
-sequential :func:`~parmatch.matcher.to_sm` for every plan, and
+:func:`to_sm_par` is the production path: cut the input into chunks once,
+deal the chunk list as one run per worker (one run when inline), let each
+worker scan and fold its run, then tree-reduce the per-run matchers.  It
+equals the sequential :func:`~parmatch.matcher.to_sm` for every plan, and
 :func:`verify_equivalence` checks that as a differential test with
 timings, scanning on at most one pool and merging inline.
 """
@@ -47,10 +47,9 @@ def timed(fn, *args):
     return result, (time.perf_counter() - started) * 1000.0
 
 
-def _scan_run(plan: ChunkPlan, target: ByteText, run: ByteText) -> StringMatcher:
-    """One map task: scan each chunk of ``run`` on its own, then fold them."""
-    matchers = [to_sm(piece, target) for piece in run.chunks(plan.chunk_size)]
-    return pmconcat(matcher_ops(target), plan.branch, matchers)
+def _scan_run(plan: ChunkPlan, target: ByteText, pieces: list[ByteText]) -> StringMatcher:
+    """One map task: scan each of ``pieces`` on its own, then fold them."""
+    return pmconcat(matcher_ops(target), plan.branch, [to_sm(piece, target) for piece in pieces])
 
 
 def to_sm_par(
@@ -62,27 +61,25 @@ def to_sm_par(
 ) -> StringMatcher:
     """Chunked, parallel matching; result is identical to ``to_sm``.
 
-    The text is cut into one contiguous run of whole chunks per worker of
-    ``map_pool`` (never more runs than chunks), and each run is one task:
-    the worker scans every chunk of its run on its own and folds them, so
-    every chunk seam still goes through ``sm_append``.  ``map_pool=None``
-    scans the whole text as one run, inline.  The per-run matchers are
-    folded on ``reduce_pool``, or inline when it is ``None``.  The worker
-    count is the pool's ``_max_workers`` (CPython's executors keep it
-    there), else the CPU count.  Nothing in the package passes
-    ``reduce_pool``; it stays because perfbench's harness calls this with
-    both pools, so retiring it waits for a change to that benchmark.
+    The text is cut once, by ``ByteText.chunks``, and the chunk list is
+    dealt as one contiguous slice per worker of ``map_pool`` (never more
+    runs than chunks; run lengths differ by at most one chunk).  Each run
+    is one task: the worker scans every chunk of its run on its own and
+    folds them, so every chunk seam still goes through ``sm_append``.
+    ``map_pool=None`` is one worker, so the whole list is one run, scanned
+    inline.  The per-run matchers are folded on ``reduce_pool``, or inline
+    when it is ``None``.  The worker count is the pool's ``_max_workers``
+    (CPython's executors keep it there), else the CPU count.  Nothing in
+    the package passes ``reduce_pool``; it stays because perfbench's
+    harness calls this with both pools, so retiring it waits for a change
+    to that benchmark.
     """
-    scan_run = partial(_scan_run, plan, target)
-    if map_pool is None:
-        return scan_run(text)
-    size = plan.chunk_size
-    chunks = max(-(-len(text) // size), 1)
+    pieces = text.chunks(plan.chunk_size)
+    n = len(pieces)
     workers = getattr(map_pool, "_max_workers", None) or os.cpu_count() or 1
-    runs = min(workers, chunks)
-    cuts = [min(k * chunks // runs * size, len(text)) for k in range(runs + 1)]
-    pieces = [text.substring(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-    matchers = pmap(scan_run, pieces, pool=map_pool)
+    runs = 1 if map_pool is None else min(workers, n)
+    dealt = [pieces[k * n // runs : (k + 1) * n // runs] for k in range(runs)]
+    matchers = pmap(partial(_scan_run, plan, target), dealt, pool=map_pool)
     return pmconcat(matcher_ops(target), plan.branch, matchers, pool=reduce_pool)
 
 

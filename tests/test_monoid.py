@@ -167,15 +167,37 @@ class TestPmconcat:
 
         def combine(x, y):
             nonlocal copied
-            if x and y:  # an empty operand is returned as is, as sm_append does
-                copied += len(x) + len(y)
-            return x + y if x and y else x or y
+            copied += len(x) + len(y)
+            return x + y
 
         xs = [ByteText(bytes([i % 256])) for i in range(n)]
         for fanin in (0, 1, 2, 4, 8, 64, 1024, 10**6):
             copied = 0
             assert pmconcat(MonoidOps(ByteText, combine), fanin, xs) == mconcat(chunkable_ops(), xs)
             assert copied <= n * (math.ceil(math.log2(n)) + 1), (fanin, copied)
+
+    @pytest.mark.parametrize("fanin", [0, 1, 2, 4, 64, None])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 100])
+    def test_folds_without_identity_seed(self, n, fanin):
+        # n operands take n - 1 combines whatever the fan-in (None: above n);
+        # only the empty list asks for the identity.
+        calls = {"identity": 0, "combine": 0}
+
+        def identity():
+            calls["identity"] += 1
+            return ()
+
+        def combine(x, y):
+            calls["combine"] += 1
+            return x + y
+
+        xs = [(i,) for i in range(n)]
+        result = pmconcat(MonoidOps(identity, combine), n + 1 if fanin is None else fanin, xs)
+        assert result == tuple(range(n))
+        if n:
+            assert calls == {"identity": 0, "combine": n - 1}
+        else:
+            assert calls == {"identity": 1, "combine": 0}
 
     def test_singleton(self):
         assert pmconcat(chunkable_ops(), 2, [bt("q")]) == bt("q")

@@ -35,7 +35,7 @@ class CountingPool(Executor):
 
 
 class RunRecorder(Executor):
-    """Runs each task inline and keeps its argument: the run of text it scans."""
+    """Runs each task inline and keeps its argument: the run of chunks it scans."""
 
     def __init__(self, workers: int) -> None:
         self._max_workers = workers
@@ -105,11 +105,32 @@ class TestDispatch:
         for size in sorted(sizes):
             pool = RunRecorder(workers)
             assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
-            lengths = [len(run) for run in pool.runs]
+            lengths = [sum(map(len, run)) for run in pool.runs]
             assert len(lengths) == min(workers, max(-(-n // size), 1)), size
             assert all(length % size == 0 for length in lengths[:-1]), (size, lengths)
-            assert b"".join(map(bytes, pool.runs)) == bytes(text)
+            assert b"".join(bytes(piece) for run in pool.runs for piece in run) == bytes(text)
             assert max(lengths) - min(lengths) <= size, (size, lengths)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_copies_each_input_byte_at_most_once(self, workers, monkeypatch):
+        # Chunking is the only copy: each input byte lands in one chunk, once.
+        n = 4099
+        text = ByteText(bytes(random.Random(n).choices(b"ab", k=n)))
+        target = bt("abba")
+        copied = []
+        substring = ByteText.substring
+
+        def counting_substring(self, offset, length):
+            piece = substring(self, offset, length)
+            copied.append(len(piece))
+            return piece
+
+        monkeypatch.setattr(ByteText, "substring", counting_substring)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for size in (1, 7, 64, n // 2, n, n + 5):
+                copied.clear()
+                assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
+                assert sum(copied) <= n, (size, sum(copied))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
