@@ -3,9 +3,11 @@
 Unlike grep, the input is treated as one byte string with no line
 semantics; reported indices are global byte offsets.  ``--mode`` picks
 the run: ``seq``, ``par``, ``both`` (the two checked against each other)
-or ``bench`` (both timed over a plan sweep).  Exit status: 0 if any
-match, 1 if none, 2 on usage or I/O errors, 3 when the two paths
-disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away.
+or ``bench`` (both timed over a plan sweep).  ``--processes`` scans on a
+process pool, started at the first input of at least ``PAR_MIN_BYTES``
+bytes; smaller inputs scan inline.  Exit status: 0 if any match, 1 if
+none, 2 on usage or I/O errors, 3 when the two paths disagree (a bug),
+130 on Ctrl-C, 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for it
 # scan; one write of everything lets a closed pipe pass unnoticed, because
 # the kernel reports a short write rather than an error.
 INDEX_BLOCK = 8192
+
+# Smallest input that --processes scans on the pool; smaller ones run the
+# same plan inline.  A pool of w workers saves n * c * (1 - 1/w) on an
+# n-byte input and costs P to start, so it repays itself once
+# n > P / (c * (1 - 1/w)).  With P ~ 43 ms to start a pool and c ~ 109 ns/B
+# for the scan, break-even is 0.79 MB at w = 2, 0.53 MB at w = 4 and
+# 0.39 MB for any w.  Measured on 2 CPUs, the pool lost at 256 KiB and won
+# at 1 MiB.  A faster scan lowers c and so raises this bound.
+PAR_MIN_BYTES = 512 * 1024
 
 
 def _positive_int(value: str) -> int:
@@ -71,12 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="workers for --processes (at most the CPU count); also sets the default chunk size",
+        help=f"workers of the --processes pool (at most the CPU count), which only inputs of "
+             f"at least {PAR_MIN_BYTES} bytes use; also sets the default chunk size",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
         "--processes", action="store_true",
-        help="scan chunks in a process pool instead of inline",
+        help=f"scan chunks in a process pool instead of inline; the pool starts at the "
+             f"first input of at least {PAR_MIN_BYTES} bytes, and smaller inputs scan inline",
     )
     return parser
 
@@ -115,26 +128,45 @@ def _ignore_sigint() -> None:
 
     A terminal sends SIGINT to the whole process group.  A worker waiting
     for its next task would die of it with a traceback; ignoring it lets
-    the parent's shutdown end the workers instead.
+    the parent's shutdown end the workers instead.  The worker is forked
+    with SIGINT blocked (see ``_make_pool``), so a SIGINT that came before
+    this ran is still pending: ignoring it first discards it, and only
+    then is it unblocked.
     """
     # Imported here: only process-pool workers run this.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-def _make_pool(args: argparse.Namespace) -> Executor | None:
-    """The scan stage's process pool with ``--processes`` in a parallel mode, else None.
+def _make_pool(args: argparse.Namespace) -> Executor:
+    """The scan stage's process pool, its workers already forked.
 
     Merges always run inline; a thread pool for them measured no faster.
     """
-    if not args.processes or args.mode == "seq":
-        return None
-    # Imported here: it pulls in multiprocessing, which the other paths
+    # Imported here: they pull in multiprocessing, which the other paths
     # never use.
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
+    pool = ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
+    try:
+        # With the fork start method the first task forks every worker.
+        # Forking them here with SIGINT blocked means no worker can take a
+        # Ctrl-C before _ignore_sigint has run; they inherit the mask.  The
+        # task's result is not awaited: int() cannot fail, and a broken pool
+        # fails the scan's own tasks.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pool.submit(int)
+        finally:
+            # A Ctrl-C that came meanwhile is raised here, once unblocked.
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    except BaseException:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    return pool
 
 
 def _plans(args: argparse.Namespace, input_length: int) -> list[ChunkPlan]:
@@ -188,7 +220,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return EXIT_USAGE
 
     paths = args.input or ["-"]
-    pool = _make_pool(args)
+    wants_pool = args.processes and args.mode != "seq"
+    pool = None
     try:
         found_any = False
         for path in paths:
@@ -196,14 +229,17 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             if text is None:
                 return EXIT_USAGE
             plans = _plans(args, len(text))
+            if wants_pool and pool is None and len(text) >= PAR_MIN_BYTES:
+                pool = _make_pool(args)
+            map_pool = pool if len(text) >= PAR_MIN_BYTES else None
             if args.mode == "seq":
                 matcher, seq_ms = timed(to_sm, text, target)
                 timings = {"seq": seq_ms}
             elif args.mode == "par":
-                matcher, par_ms = timed(to_sm_par, plans[0], text, target, pool)
+                matcher, par_ms = timed(to_sm_par, plans[0], text, target, map_pool)
                 timings = {"par": par_ms}
             else:
-                report = verify_equivalence(text, target, plans, pool)
+                report = verify_equivalence(text, target, plans, map_pool)
                 if args.mode == "bench" and args.json:
                     _write_json(out, {"path": path, "entries": report.to_json_obj()})
                 elif args.mode == "bench":

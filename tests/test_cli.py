@@ -40,6 +40,46 @@ def child_env():
     return env
 
 
+def interrupt_group(code, announcement):
+    """Runs ``code`` in a child that leads its own process group, and sends
+    SIGINT to the group, as a terminal does, once the child's stderr starts
+    with ``announcement``.  Returns the exited child, its stdout and the rest
+    of its stderr.
+    """
+    child = subprocess.Popen(
+        [sys.executable, "-c", code], env=child_env(), start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stderr.readline() == announcement
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    return child, out, err
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Records, in order, each input the CLI reads and each process pool it starts."""
+    log = []
+    real_read, real_make = cli._read_input, cli._make_pool
+
+    def read(path, err):
+        log.append(("read", path))
+        return real_read(path, err)
+
+    def make(args):
+        log.append("pool")
+        return real_make(args)
+
+    monkeypatch.setattr(cli, "_read_input", read)
+    monkeypatch.setattr(cli, "_make_pool", make)
+    return log
+
+
 @pytest.fixture
 def sample(tmp_path):
     path = tmp_path / "sample.txt"
@@ -86,7 +126,9 @@ class TestRun:
         assert status == cli.EXIT_MATCH
         assert out.splitlines() == ["0", "2", "4"]
 
-    def test_pools_are_shut_down(self, sample):
+    def test_pools_are_shut_down(self, sample, monkeypatch):
+        # A threshold of 0 puts even this 7-byte input on the pool.
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
         before = threading.active_count()
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--mode", "par", "--processes",
@@ -151,7 +193,9 @@ class TestMain:
                                                 flags, raises_in_parent):
         # With --processes, only a forked worker's scan raises, so the
         # interrupt reaches the parent through a future after the workers
-        # have started.  The parent's seam scans run the real function.
+        # have started.  The parent's seam scans run the real function.  A
+        # threshold of 0 puts even this 7-byte input on the pool.
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
         parent = os.getpid()
         real = matcher.make_indices
 
@@ -193,21 +237,60 @@ class TestMain:
             "    time.sleep(60)\n"
             "    return matcher\n"
             "cli.to_sm_par = then_wait\n"
+            "cli.PAR_MIN_BYTES = 0\n"
             f"sys.argv = {argv!r}\n"
             "cli.main()\n"
         )
-        child = subprocess.Popen(
-            [sys.executable, "-c", code], env=child_env(), start_new_session=True,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        child, out, err = interrupt_group(code, b"ready\n")
+        assert child.returncode == cli.EXIT_INTERRUPT, err.decode(errors="replace")
+        assert out == b""
+        assert err == b"", err.decode(errors="replace")
+
+    def test_ctrl_c_while_workers_fork_shuts_the_pool_down(self, sample, monkeypatch):
+        # A Ctrl-C that arrives while SIGINT is blocked for the fork is raised
+        # once it is unblocked; the pool, its workers forked, must still stop.
+        from concurrent.futures import ProcessPoolExecutor
+
+        real = ProcessPoolExecutor.submit
+
+        def submit_then_interrupt(self, *args):
+            future = real(self, *args)
+            signal.raise_signal(signal.SIGINT)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_interrupt)
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            invoke(["--target", "aba", "--input", sample, "--mode", "par", "--processes",
+                    "--threads", "2", "--chunk", "2"])
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_before_a_worker_ignores_it_stays_quiet(self, sample):
+        # The worker's initializer announces itself, then waits until the
+        # process group's SIGINT is pending before it ignores SIGINT.  A
+        # worker that can take SIGINT before its initializer ends dies of it
+        # in that wait, and logs a traceback.
+        argv = ["parmatch", "--target", "aba", "--input", sample, "--mode", "par",
+                "--processes", "--threads", "1", "--chunk", "2"]
+        code = (
+            "import signal, sys, time\n"
+            "from parmatch import cli\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "real = cli._ignore_sigint\n"
+            "def ignore_late():\n"
+            "    print('forked', file=sys.stderr, flush=True)\n"
+            "    deadline = time.monotonic() + 60\n"
+            "    while signal.SIGINT not in signal.sigpending() and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    real()\n"
+            "cli._ignore_sigint = ignore_late\n"
+            "cli.PAR_MIN_BYTES = 0\n"
+            f"sys.argv = {argv!r}\n"
+            "cli.main()\n"
         )
-        try:
-            assert child.stderr.readline() == b"ready\n"
-            os.killpg(child.pid, signal.SIGINT)
-            out, err = child.communicate(timeout=60)
-        finally:
-            if child.poll() is None:
-                os.killpg(child.pid, signal.SIGKILL)
-                child.wait()
+        child, out, err = interrupt_group(code, b"forked\n")
         assert child.returncode == cli.EXIT_INTERRUPT, err.decode(errors="replace")
         assert out == b""
         assert err == b"", err.decode(errors="replace")
@@ -222,10 +305,12 @@ class TestMain:
     )
     def test_process_pool_imported_only_with_processes(self, sample, flags, loaded):
         # No CLI path starts a thread pool, so its module is never loaded,
-        # and only --json loads json.
+        # and only --json loads json.  A threshold of 0 leaves the pool to
+        # the flags alone, even on this 7-byte input.
         code = (
             "import io, sys\n"
             "from parmatch import cli\n"
+            "cli.PAR_MIN_BYTES = 0\n"
             f"status = cli.run({['--target', 'aba', '--input', sample, *flags]!r},"
             " out=io.StringIO(), err=io.StringIO())\n"
             "print(status, 'concurrent.futures.process' in sys.modules,"
@@ -397,15 +482,17 @@ class TestUsageErrors:
             assert (status, out) == (cli.EXIT_USAGE, "")
             assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    def test_processes_beyond_cpu_count_rejected(self, sample):
+    def test_processes_beyond_cpu_count_rejected(self, sample, pool_log):
         # A process pool may fork all its workers at once, so this must fail
-        # before any pool starts.  Without --processes the value only sizes chunks.
+        # before any pool starts, and before any input is read, whatever its
+        # size.  Without --processes the value only sizes chunks.
         flags = ["--target", "aba", "--input", sample, "--mode", "par",
                  "--threads", str((os.cpu_count() or 1) + 1)]
         status, out, err = invoke([*flags, "--processes"])
         assert status == cli.EXIT_USAGE
         assert "--threads" in err and "CPU count" in err
         assert out == ""
+        assert pool_log == []
         assert multiprocessing.active_children() == []
         assert invoke(flags)[0] == cli.EXIT_MATCH
 
@@ -482,3 +569,68 @@ class TestBench:
             assert [entry["plan"] for entry in line["entries"]] == [
                 {"branch": 4, "chunk_size": 2}
             ]
+
+
+@pytest.fixture
+def sized(tmp_path):
+    """Makes an ``n``-byte file with ``aba`` at its start, across its middle and at its end."""
+
+    def make(n):
+        data = bytearray(b"x" * n)
+        for start in (0, n // 2 - 1, n - 3):
+            data[start : start + 3] = b"aba"
+        path = tmp_path / f"sized-{n}.bin"
+        path.write_bytes(bytes(data))
+        return str(path)
+
+    return make
+
+
+class TestPoolChoice:
+    """``--processes`` starts one pool, at the first input of ``PAR_MIN_BYTES`` or more."""
+
+    WORKERS = str(min(2, os.cpu_count() or 1))
+
+    def flags(self, mode):
+        return ["--target", "aba", "--mode", mode, "--processes", "--threads", self.WORKERS]
+
+    @pytest.mark.parametrize("mode", ["par", "both"])
+    @pytest.mark.parametrize("size, pools", [(cli.PAR_MIN_BYTES - 1, []),
+                                             (cli.PAR_MIN_BYTES, ["pool"])],
+                             ids=["below", "at"])
+    def test_pool_starts_at_threshold(self, sized, pool_log, mode, size, pools):
+        path = sized(size)
+        status, out, _ = invoke([*self.flags(mode), "--input", path])
+        assert status == cli.EXIT_MATCH
+        assert pool_log == [("read", path), *pools]
+        assert multiprocessing.active_children() == []
+        assert out == invoke(["--target", "aba", "--mode", "seq", "--input", path])[1]
+
+    @pytest.mark.parametrize("mode", ["par", "both", "bench"])
+    def test_one_pool_from_the_first_large_input(self, sized, pool_log, mode):
+        small, large = sized(cli.PAR_MIN_BYTES - 1), sized(cli.PAR_MIN_BYTES)
+        inputs = ["--input", small, "--input", large, "--input", large]
+        chunk = ["--chunk", str(cli.PAR_MIN_BYTES // 4)]
+        status, out, _ = invoke([*self.flags(mode), *chunk, *inputs])
+        assert status == cli.EXIT_MATCH
+        assert pool_log == [("read", small), ("read", large), "pool", ("read", large)]
+        assert multiprocessing.active_children() == []
+        if mode != "bench":
+            assert out == invoke(["--target", "aba", "--mode", "seq", *inputs])[1]
+
+    def test_small_input_loads_no_process_pool(self, sized):
+        # -S keeps site from loading modules before the check.
+        argv = [*self.flags("par"), "--input", sized(cli.PAR_MIN_BYTES - 1)]
+        code = (
+            "import io, sys\n"
+            "from parmatch import cli\n"
+            f"status = cli.run({argv!r}, out=io.StringIO(), err=io.StringIO())\n"
+            "print(status, 'concurrent.futures.process' in sys.modules,"
+            " 'multiprocessing' in sys.modules)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=child_env(), capture_output=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        assert child.stdout.split() == [b"0", b"False", b"False"]
