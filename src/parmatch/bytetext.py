@@ -123,9 +123,6 @@ class ByteText(Value):
         return chunk(chunkable_ops(), size, self)
 
 
-EMPTY = ByteText()
-
-
 def chunkable_ops() -> ChunkableOps:
     """ByteText as a chunkable monoid (concatenation with empty identity)."""
     return ChunkableOps(

@@ -3,7 +3,7 @@
 Unlike grep, the input is treated as one byte string with no line
 semantics; reported indices are global byte offsets.  ``--mode`` picks
 the run: ``seq``, ``par``, ``both`` (the two checked against each other)
-or ``bench`` (both timed over a plan sweep).  ``--processes`` scans on a
+or ``bench`` (both timed per chunk size).  ``--processes`` scans on a
 process pool, started at the first input of at least ``PAR_MIN_BYTES``
 bytes; smaller inputs scan inline.  Exit status: 0 if any match, 1 if
 none, 2 on usage or I/O errors, 3 when the two paths disagree (a bug),
@@ -19,7 +19,7 @@ import sys
 from .bytetext import ByteText
 from .matcher import to_sm
 from .monoid import TYPE_CHECKING
-from .pipeline import ChunkPlan, timed, to_sm_par, verify_equivalence
+from .pipeline import ChunkPlan, _cpu_count, timed, to_sm_par, verify_equivalence
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -73,17 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mode", choices=("seq", "par", "both", "bench"), default="seq",
-        help="both: check par against seq (exit 3 if they differ); bench: time both on a plan sweep",
+        help="both: check par against seq (exit 3 if they differ); bench: time each chunk size",
     )
-    parser.add_argument("--branch", type=_positive_int, default=4, help="reduction fan-in")
+    parser.add_argument("--branch", type=_positive_int, default=4, help="fan-in of every plan")
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
         help="chunk size in bytes (default: input length / (--threads or CPU count), min 1)",
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
-        help=f"workers of the --processes pool (at most the CPU count), which only inputs of "
-             f"at least {PAR_MIN_BYTES} bytes use; also sets the default chunk size",
+        help=f"workers of the --processes pool (at most the CPUs this process may run on), "
+             f"used from {PAR_MIN_BYTES} bytes of input on; also sets the default chunk size",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
@@ -140,7 +140,7 @@ def _ignore_sigint() -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-def _make_pool(args: argparse.Namespace) -> Executor:
+def _make_pool(workers: int) -> Executor:
     """The scan stage's process pool, its workers already forked.
 
     Merges always run inline; a thread pool for them measured no faster.
@@ -150,7 +150,7 @@ def _make_pool(args: argparse.Namespace) -> Executor:
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=args.threads, initializer=_ignore_sigint)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
     try:
         # With the fork start method the first task forks every worker.
         # Forking them here with SIGINT blocked means no worker can take a
@@ -169,19 +169,16 @@ def _make_pool(args: argparse.Namespace) -> Executor:
     return pool
 
 
-def _plans(args: argparse.Namespace, input_length: int) -> list[ChunkPlan]:
-    """The ``--branch``/``--chunk`` plan, or ``--mode bench``'s input-sized grid.
-
-    The default chunk size gives each worker one chunk; without ``--chunk``,
-    ``--mode bench`` sweeps half, one and two chunks per worker at three fan-ins.
+def _plans(args: argparse.Namespace, input_length: int, workers: int) -> list[ChunkPlan]:
+    """``--chunk``, else one chunk per worker, or for ``--mode bench`` half,
+    one and two; all at ``--branch``.  Fan-in is not swept: the CLI merges
+    inline, where every power-of-two fan-in builds the same tree (3 does not).
     """
     if args.chunk is not None:
         return [ChunkPlan(args.branch, args.chunk)]
-    workers = args.threads or os.cpu_count() or 1
-    if args.mode != "bench":
-        return [ChunkPlan(args.branch, max(input_length // workers, 1))]
-    sizes = sorted({max(input_length * k // (2 * workers), 1) for k in (1, 2, 4)})
-    return [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in sizes]
+    halves = (1, 2, 4) if args.mode == "bench" else (2,)  # k / 2 chunks per worker
+    sizes = {max(input_length * k // (2 * workers), 1) for k in halves}
+    return [ChunkPlan(args.branch, size) for size in sorted(sizes)]
 
 
 def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
@@ -204,9 +201,8 @@ def _write_json(out, obj: dict) -> None:
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_MATCH
 
@@ -214,24 +210,24 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     if target is None:
         return EXIT_USAGE
 
-    if args.processes and (args.threads or 0) > (os.cpu_count() or 1):
+    cpus = _cpu_count()
+    workers = args.threads or cpus
+    if args.processes and workers > cpus:
         # A process pool may fork every worker at its first task.
-        print(f"error: --threads {args.threads} exceeds the CPU count with --processes", file=err)
+        print(f"error: --threads {workers} exceeds the CPU count with --processes", file=err)
         return EXIT_USAGE
 
-    paths = args.input or ["-"]
-    wants_pool = args.processes and args.mode != "seq"
     pool = None
     try:
         found_any = False
-        for path in paths:
+        for path in args.input or ["-"]:
             text = _read_input(path, err)
             if text is None:
                 return EXIT_USAGE
-            plans = _plans(args, len(text))
-            if wants_pool and pool is None and len(text) >= PAR_MIN_BYTES:
-                pool = _make_pool(args)
-            map_pool = pool if len(text) >= PAR_MIN_BYTES else None
+            plans = _plans(args, len(text), workers)
+            map_pool = None
+            if args.processes and args.mode != "seq" and len(text) >= PAR_MIN_BYTES:
+                map_pool = pool = pool or _make_pool(workers)
             if args.mode == "seq":
                 matcher, seq_ms = timed(to_sm, text, target)
                 timings = {"seq": seq_ms}

@@ -28,7 +28,8 @@ class ChunkPlan(Value):
 
     ``chunk_size`` is the byte length of the slices scanned on their own;
     ``branch`` is the reduction tree's fan-in (1 acts as 2); each group folds
-    as a binary tree, so no fan-in makes the merges quadratic.  Both are ints >= 1.
+    as a binary tree, so no fan-in makes the merges quadratic, and inline
+    every power-of-two fan-in builds the same tree (3 does not).  Both are ints >= 1.
     """
 
     __slots__ = ("branch", "chunk_size")
@@ -38,6 +39,12 @@ class ChunkPlan(Value):
         object.__setattr__(self, "chunk_size", chunk_size)
         if not all(type(n) is int and n >= 1 for n in (branch, chunk_size)):
             raise ValueError(f"branch and chunk_size must be integers >= 1, got {self}")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, else the host's CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def timed(fn, *args):
@@ -69,14 +76,14 @@ def to_sm_par(
     ``map_pool=None`` is one worker, so the whole list is one run, scanned
     inline.  The per-run matchers are folded on ``reduce_pool``, or inline
     when it is ``None``.  The worker count is the pool's ``_max_workers``
-    (CPython's executors keep it there), else the CPU count.  Nothing in
-    the package passes ``reduce_pool``; it stays because perfbench's
-    harness calls this with both pools, so retiring it waits for a change
-    to that benchmark.
+    (CPython's executors keep it there), else the CPUs this process may run
+    on.  Nothing in the package passes ``reduce_pool``; it stays because
+    perfbench's harness calls this with both pools, so retiring it waits for
+    a change to that benchmark.
     """
     pieces = text.chunks(plan.chunk_size)
     n = len(pieces)
-    workers = getattr(map_pool, "_max_workers", None) or os.cpu_count() or 1
+    workers = getattr(map_pool, "_max_workers", None) or _cpu_count()
     runs = 1 if map_pool is None else min(workers, n)
     dealt = [pieces[k * n // runs : (k + 1) * n // runs] for k in range(runs)]
     matchers = pmap(partial(_scan_run, plan, target), dealt, pool=map_pool)

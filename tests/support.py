@@ -24,6 +24,9 @@ from parmatch import ByteText, ChunkPlan, cli, matcher_ops, mconcat, pmconcat
 from parmatch import to_sm, to_sm_par, verify_equivalence
 
 
+EMPTY = ByteText()
+
+
 def bt(value) -> ByteText:
     if isinstance(value, str):
         return ByteText.from_text(value)

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parmatch import ByteText, RangeError, mconcat, chunkable_ops
-from parmatch.bytetext import EMPTY
 
-from support import bt, byte_texts
+from support import EMPTY, bt, byte_texts
 
 
 class TestBasics:

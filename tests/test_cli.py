@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from parmatch import StringMatcher, cli, matcher, naive_match, pipeline
+from parmatch import ChunkPlan, StringMatcher, cli, matcher, naive_match, pipeline
 
 from support import bt
 
@@ -71,9 +71,9 @@ def pool_log(monkeypatch):
         log.append(("read", path))
         return real_read(path, err)
 
-    def make(args):
+    def make(workers):
         log.append("pool")
-        return real_make(args)
+        return real_make(workers)
 
     monkeypatch.setattr(cli, "_read_input", read)
     monkeypatch.setattr(cli, "_make_pool", make)
@@ -487,7 +487,7 @@ class TestUsageErrors:
         # before any pool starts, and before any input is read, whatever its
         # size.  Without --processes the value only sizes chunks.
         flags = ["--target", "aba", "--input", sample, "--mode", "par",
-                 "--threads", str((os.cpu_count() or 1) + 1)]
+                 "--threads", str(pipeline._cpu_count() + 1)]
         status, out, err = invoke([*flags, "--processes"])
         assert status == cli.EXIT_USAGE
         assert "--threads" in err and "CPU count" in err
@@ -535,13 +535,24 @@ class TestBench:
         assert line["path"] == sample
         entries = line["entries"]
         assert [entry["plan"] for entry in entries] == [
-            {"branch": branch, "chunk_size": size} for branch in (2, 4, 8) for size in (1, 3, 7)
+            {"branch": 4, "chunk_size": size} for size in (1, 3, 7)
         ]
         for entry in entries:
             assert set(entry) == {
                 "plan", "equal", "first_divergence", "sequential_ms", "parallel_ms", "speedup"
             }
             assert entry["equal"] and entry["first_divergence"] is None
+
+    def test_sweep_is_at_branch(self, periodic):
+        # Without --chunk, bench sweeps chunk sizes only, all at --branch.
+        status, out, _ = invoke(["--target", "aba", "--input", periodic(500), "--mode", "bench",
+                                 "--json", "--branch", "3"])
+        assert status == cli.EXIT_MATCH
+        plans = [entry["plan"] for entry in json.loads(out)["entries"]]
+        assert {plan["branch"] for plan in plans} == {3}
+        sizes = [plan["chunk_size"] for plan in plans]
+        assert 1 <= len(sizes) <= 3
+        assert sizes == sorted(set(sizes))
 
     def test_chunk_larger_than_input_degenerates(self, sample):
         status, out, _ = invoke(
@@ -589,7 +600,7 @@ def sized(tmp_path):
 class TestPoolChoice:
     """``--processes`` starts one pool, at the first input of ``PAR_MIN_BYTES`` or more."""
 
-    WORKERS = str(min(2, os.cpu_count() or 1))
+    WORKERS = str(min(2, pipeline._cpu_count()))
 
     def flags(self, mode):
         return ["--target", "aba", "--mode", mode, "--processes", "--threads", self.WORKERS]
@@ -634,3 +645,42 @@ class TestPoolChoice:
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
         assert child.stdout.split() == [b"0", b"False", b"False"]
+
+
+class TestCpuCount:
+    """The worker count defaults to, and under ``--processes`` may not exceed,
+    the CPUs this process may run on, however many the host has."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def test_processes_beyond_affinity_rejected(self, sample, pool_log):
+        status, out, err = invoke(["--target", "aba", "--input", sample, "--mode", "par",
+                                   "--processes", "--threads", "2"])
+        assert status == cli.EXIT_USAGE
+        assert "--threads 2" in err and "CPU count" in err
+        assert (out, pool_log) == ("", [])
+
+    def test_default_pool_and_plan_have_one_worker(self, sample, monkeypatch):
+        # A threshold of 0 puts even this 7-byte input on the pool.
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
+        calls = []
+        real_make, real_par = cli._make_pool, cli.to_sm_par
+
+        def make(workers):
+            calls.append(("pool", workers))
+            return real_make(workers)
+
+        def par(plan, *args):
+            calls.append(("plan", plan))
+            return real_par(plan, *args)
+
+        monkeypatch.setattr(cli, "_make_pool", make)
+        monkeypatch.setattr(cli, "to_sm_par", par)
+        status, out, _ = invoke(["--target", "aba", "--input", sample, "--mode", "par",
+                                 "--processes"])
+        assert status == cli.EXIT_MATCH
+        assert out.splitlines() == ["0", "2", "4"]
+        assert calls == [("pool", 1), ("plan", ChunkPlan(4, 7))]
+        assert multiprocessing.active_children() == []

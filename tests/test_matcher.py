@@ -16,10 +16,10 @@ from parmatch import (
     to_sm,
     to_sm_witness,
 )
-from parmatch.bytetext import EMPTY
 from parmatch.matcher import make_indices
 
 from support import (
+    EMPTY,
     bt,
     byte_texts,
     cast_indices,

@@ -23,9 +23,8 @@ from parmatch import (
     pmap,
     pmconcat,
 )
-from parmatch.bytetext import EMPTY
 
-from support import bt, byte_texts
+from support import EMPTY, bt, byte_texts
 
 
 def int_add_ops() -> MonoidOps:
@@ -201,6 +200,19 @@ class TestPmconcat:
 
     def test_singleton(self):
         assert pmconcat(chunkable_ops(), 2, [bt("q")]) == bt("q")
+
+    def test_power_of_two_fanins_build_one_tree(self):
+        # Inline, fan-ins 2, 4 and 8 nest the operands alike, so sweeping
+        # them times one computation three times.
+        pairs = MonoidOps(identity=tuple, combine=lambda a, b: (a, b))
+        for n in range(1, 300):
+            xs = list(range(n))
+            assert pmconcat(pairs, 2, xs) == pmconcat(pairs, 4, xs) == pmconcat(pairs, 8, xs), n
+
+    def test_fanin_three_builds_another_tree(self):
+        pairs = MonoidOps(identity=tuple, combine=lambda a, b: (a, b))
+        assert any(pmconcat(pairs, 3, range(n)) != pmconcat(pairs, 2, range(n))
+                   for n in range(4, 300))
 
     @given(st.lists(byte_texts(max_size=8), max_size=20), st.integers(0, 6))
     @settings(deadline=None)

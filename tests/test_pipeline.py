@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -13,7 +14,7 @@ from parmatch import (
     to_sm_par,
     verify_equivalence,
 )
-from parmatch.pipeline import default_plan_sweep, first_divergence
+from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
 from support import bt
 
@@ -143,6 +144,18 @@ class TestDispatch:
                 before = pool.submits
                 assert verify_equivalence(text, target, [plan], pool).ok
                 assert pool.submits - before <= workers, plan
+
+
+class TestCpuCount:
+    def test_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert _cpu_count() == 2
+
+    @pytest.mark.parametrize("host, expected", [(3, 3), (None, 1)])
+    def test_falls_back_to_the_host_count(self, monkeypatch, host, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: host)
+        assert _cpu_count() == expected
 
 
 class TestFirstDivergence:
