@@ -4,7 +4,7 @@
 Cut the input into one run of chunks per worker, let each process-pool
 worker scan its chunks and fold them, fold the per-worker matchers in the
 parent, and confirm the result is byte-identical to the sequential scan
-for a grid of plans.
+for a sweep of chunk sizes.
 """
 
 import random

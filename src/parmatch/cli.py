@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("seq", "par", "both", "bench"), default="seq",
         help="both: check par against seq (exit 3 if they differ); bench: time each chunk size",
     )
-    parser.add_argument("--branch", type=_positive_int, default=4, help="fan-in of every plan")
+    parser.add_argument(
+        "--branch", type=_positive_int, default=4,
+        help="fan-in of a merge's tasks on a pool; the CLI merges inline, so it changes no work",
+    )
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
         help="chunk size in bytes (default: input length / (--threads or CPU count), min 1)",
@@ -145,8 +148,7 @@ def _make_pool(workers: int) -> Executor:
 
     Merges always run inline; a thread pool for them measured no faster.
     """
-    # Imported here: they pull in multiprocessing, which the other paths
-    # never use.
+    # Imported here: they pull in multiprocessing, which no other path uses.
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
@@ -171,13 +173,13 @@ def _make_pool(workers: int) -> Executor:
 
 def _plans(args: argparse.Namespace, input_length: int, workers: int) -> list[ChunkPlan]:
     """``--chunk``, else one chunk per worker, or for ``--mode bench`` half,
-    one and two; all at ``--branch``.  Fan-in is not swept: the CLI merges
-    inline, where every power-of-two fan-in builds the same tree (3 does not).
+    one and two, none past the whole input; all at ``--branch``, which the
+    CLI's inline merges ignore, so fan-ins are not swept.
     """
     if args.chunk is not None:
         return [ChunkPlan(args.branch, args.chunk)]
     halves = (1, 2, 4) if args.mode == "bench" else (2,)  # k / 2 chunks per worker
-    sizes = {max(input_length * k // (2 * workers), 1) for k in halves}
+    sizes = {max(min(input_length * k // (2 * workers), input_length), 1) for k in halves}
     return [ChunkPlan(args.branch, size) for size in sorted(sizes)]
 
 

@@ -9,9 +9,9 @@ and ``window``, the one cut that chunking and counterexample shrinking use.
 The two reduction paths are deliberately kept both:
 
 * :func:`mconcat` is the sequential right fold and the semantic reference.
-* :func:`pmconcat` chunks the operand list, reduces adjacent groups on a
-  worker pool, and recurses (at a fan-in of at least 2) with no identity
-  seed; it must agree with ``mconcat`` exactly for any associative operation.
+* :func:`pmconcat` folds by rounds of adjacent pairs, with no identity
+  seed, in tasks of ``fanin`` operands on a worker pool; it must agree
+  with ``mconcat`` exactly for any associative operation.
 
 Every function that takes a ``pool`` runs inline when it is ``None``;
 callers that want parallelism pass, and shut down, their own executor.
@@ -128,21 +128,21 @@ def pmconcat(
 ) -> T:
     """Tree-structured reduction, exactly equal to :func:`mconcat`.
 
-    Groups of ``fanin`` adjacent operands (at least 2) are folded
-    concurrently, then the (strictly shorter) list of group results is
-    reduced the same way.  Each group, and the last ``fanin`` or fewer
-    operands, fold by rounds of adjacent pairs down to one operand, a
-    balanced binary tree: a right fold would copy a growing accumulator at
-    every step.  No fold is seeded with the identity, so ``n`` operands
-    take ``n - 1`` combines, and only an empty list calls ``identity``.
+    Operands fold by rounds of adjacent pairs down to one, a balanced
+    binary tree: a right fold would copy a growing accumulator at every
+    step.  On a ``pool``, rounds of tasks first reduce groups of ``fanin``
+    adjacent operands (at least 2) until at most ``fanin`` remain.  Inline
+    there is no task to size, so every fan-in builds the same tree.  No
+    fold is seeded with the identity, so ``n`` operands take ``n - 1``
+    combines, and only an empty list calls ``identity``.
     """
     items = list(items)
     fanin = max(fanin, 2)
-    while len(items) > fanin:
+    while pool is not None and len(items) > fanin:
         groups = [items[k : k + fanin] for k in range(0, len(items), fanin)]
         # Termination guard: each round must shrink the operand list.
         assert len(groups) < len(items)
-        # Recursing on a group runs only the pairwise fold.  A partial pickles; a lambda would not.
+        # A task folds its group inline.  A partial pickles; a lambda would not.
         items = pmap(partial(pmconcat, ops, fanin), groups, pool=pool)
     while len(items) > 1:
         pairs = zip(items[::2], items[1::2])

@@ -27,9 +27,9 @@ class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
     ``chunk_size`` is the byte length of the slices scanned on their own;
-    ``branch`` is the reduction tree's fan-in (1 acts as 2); each group folds
-    as a binary tree, so no fan-in makes the merges quadratic, and inline
-    every power-of-two fan-in builds the same tree (3 does not).  Both are ints >= 1.
+    ``branch`` is the fan-in of the final merge's tasks on a ``reduce_pool``
+    (1 acts as 2).  Every other merge runs inline, where no fan-in changes
+    the tree.  Both are ints >= 1.
     """
 
     __slots__ = ("branch", "chunk_size")
@@ -54,9 +54,9 @@ def timed(fn, *args):
     return result, (time.perf_counter() - started) * 1000.0
 
 
-def _scan_run(plan: ChunkPlan, target: ByteText, pieces: list[ByteText]) -> StringMatcher:
-    """One map task: scan each of ``pieces`` on its own, then fold them."""
-    return pmconcat(matcher_ops(target), plan.branch, [to_sm(piece, target) for piece in pieces])
+def _scan_run(target: ByteText, pieces: list[ByteText]) -> StringMatcher:
+    """One map task: scan each of ``pieces`` on its own, then fold them inline."""
+    return pmconcat(matcher_ops(target), 2, [to_sm(piece, target) for piece in pieces])
 
 
 def to_sm_par(
@@ -74,31 +74,31 @@ def to_sm_par(
     is one task: the worker scans every chunk of its run on its own and
     folds them, so every chunk seam still goes through ``sm_append``.
     ``map_pool=None`` is one worker, so the whole list is one run, scanned
-    inline.  The per-run matchers are folded on ``reduce_pool``, or inline
-    when it is ``None``.  The worker count is the pool's ``_max_workers``
-    (CPython's executors keep it there), else the CPUs this process may run
-    on.  Nothing in the package passes ``reduce_pool``; it stays because
-    perfbench's harness calls this with both pools, so retiring it waits for
-    a change to that benchmark.
+    inline.  The per-run matchers are folded on ``reduce_pool``, in tasks
+    of ``plan.branch`` operands, or inline when it is ``None``.  The worker
+    count is the pool's ``_max_workers`` (CPython's executors keep it
+    there), else the CPUs this process may run on.  Nothing in the package
+    passes ``reduce_pool``; it stays because perfbench's harness calls this
+    with both pools, so retiring it waits for a change to that benchmark.
     """
     pieces = text.chunks(plan.chunk_size)
     n = len(pieces)
     workers = getattr(map_pool, "_max_workers", None) or _cpu_count()
     runs = 1 if map_pool is None else min(workers, n)
     dealt = [pieces[k * n // runs : (k + 1) * n // runs] for k in range(runs)]
-    matchers = pmap(partial(_scan_run, plan, target), dealt, pool=map_pool)
+    matchers = pmap(partial(_scan_run, target), dealt, pool=map_pool)
     return pmconcat(matcher_ops(target), plan.branch, matchers, pool=reduce_pool)
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:
-    """Verification sweep: fixed grid plus one boundary-splitting plan.
+    """Verification sweep: chunk sizes 1, 7 and 64 plus one boundary splitter.
 
-    The extra plan's chunk size is shorter than the target, forcing every
-    occurrence to straddle a chunk seam.
+    The splitter's chunk size is shorter than the target, forcing every
+    occurrence to straddle a chunk seam.  All plans are at branch 2: the
+    sweep merges inline, where no fan-in changes the tree.
     """
-    plans = [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in (1, 7, 64)]
-    plans.append(ChunkPlan(2, max(target_length - 1, 1)))
-    return plans
+    sizes = {1, 7, 64, max(target_length - 1, 1)}
+    return [ChunkPlan(2, size) for size in sorted(sizes)]
 
 
 class EquivalenceEntry:
@@ -174,20 +174,18 @@ def verify_equivalence(
     """Run both paths for every plan and report equality plus timings.
 
     ``map_pool`` scans the chunks of every parallel run; merges run inline.
-
+    ``to_sm`` is timed right before each plan, so every entry has its own
+    sequential sample, and its result is returned as ``sequential``.
     Any inequality is reported data here, and a released-code bug there.
-    The sequential result does not depend on the plan, so it is computed
-    (and timed) once, compared against every parallel run and returned
-    as ``sequential``.
     """
     if plans is None:
         plans = default_plan_sweep(len(target))
-    sequential, sequential_ms = timed(to_sm, text, target)
     entries = []
     for plan in plans:
+        sequential, sequential_ms = timed(to_sm, text, target)
         parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool)
         where = first_divergence(sequential, parallel)
         entries.append(
             EquivalenceEntry(plan, where is None, where, sequential_ms, parallel_ms)
         )
-    return EquivalenceReport(entries, sequential)
+    return EquivalenceReport(entries, sequential if plans else to_sm(text, target))

@@ -26,7 +26,6 @@ from parmatch import (
     to_sm_witness,
 )
 from parmatch.matcher import make_indices
-from parmatch.pipeline import default_plan_sweep
 
 from support import cast_indices, make_new_indices, shift_indices, spec_append_indices
 
@@ -163,14 +162,16 @@ def _equivalence_theorem_suites(pool):
         matchers = [to_sm(piece, target) for piece in texts]
         assert pmconcat(sm_ops, fanin, matchers, pool=pool) == mconcat(sm_ops, matchers)
 
-    # two-level pipeline over the default plan sweep
+    # two-level pipeline over a grid of plans: the pool reduces, so each
+    # fan-in groups the merges its own way
+    grid = [ChunkPlan(branch, size) for branch in (2, 4, 8) for size in (1, 7, 64)]
     sweeps = 500
     for _ in range(sweeps):
         alphabet = ALPHABETS[(2, 4)[rng.randrange(2)]]
         text = rand_text(rng, alphabet, rng.randrange(65))
         target = rand_text(rng, alphabet, rng.randrange(1, 6))
         sequential = to_sm(text, target)
-        for plan in default_plan_sweep(len(target)):
+        for plan in grid + [ChunkPlan(2, max(len(target) - 1, 1))]:
             assert to_sm_par(plan, text, target, pool, pool) == sequential
 
     elapsed = time.perf_counter() - started

@@ -554,6 +554,14 @@ class TestBench:
         assert 1 <= len(sizes) <= 3
         assert sizes == sorted(set(sizes))
 
+    def test_sweep_has_no_two_rows_of_one_chunk(self, sized):
+        # With one worker, two chunks per worker would be one chunk again.
+        status, out, _ = invoke(["--target", "aba", "--input", sized(500), "--mode", "bench",
+                                 "--json", "--threads", "1"])
+        assert status == cli.EXIT_MATCH
+        sizes = [entry["plan"]["chunk_size"] for entry in json.loads(out)["entries"]]
+        assert sizes == [250, 500]
+
     def test_chunk_larger_than_input_degenerates(self, sample):
         status, out, _ = invoke(
             ["--target", "aba", "--input", sample, "--mode", "bench",

@@ -4,7 +4,7 @@ import operator
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from parmatch import (
     pmap,
     pmconcat,
 )
+from parmatch import monoid
 
 from support import EMPTY, bt, byte_texts
 
@@ -157,10 +158,27 @@ class TestPmap:
         assert set(settled) == {0, 1, 3, 4, 6, 7}
 
 
+# Combining into nested pairs records the shape of the reduction tree.
+PAIRS = MonoidOps(identity=tuple, combine=lambda a, b: (a, b))
+
+
+class GroupRecorder(Executor):
+    """Runs each task inline and keeps its argument: the group it folds."""
+
+    def __init__(self) -> None:
+        self.groups = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.groups.append(args[0])
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestPmconcat:
     def test_degenerate_fanin_is_sequential(self):
-        # Every fan-in, degenerate or past the operand count, folds its groups
-        # as binary trees, so the bytes copied stay n log n; a right fold
+        # Every fan-in, degenerate or past the operand count, folds as a
+        # binary tree, so the bytes copied stay n log n; a right fold
         # copies about n * n / 2.
         n, copied = 1024, 0
 
@@ -201,18 +219,30 @@ class TestPmconcat:
     def test_singleton(self):
         assert pmconcat(chunkable_ops(), 2, [bt("q")]) == bt("q")
 
-    def test_power_of_two_fanins_build_one_tree(self):
-        # Inline, fan-ins 2, 4 and 8 nest the operands alike, so sweeping
-        # them times one computation three times.
-        pairs = MonoidOps(identity=tuple, combine=lambda a, b: (a, b))
-        for n in range(1, 300):
-            xs = list(range(n))
-            assert pmconcat(pairs, 2, xs) == pmconcat(pairs, 4, xs) == pmconcat(pairs, 8, xs), n
+    def test_inline_fanins_build_one_tree(self, monkeypatch):
+        # Inline there is no task to size: every fan-in folds by rounds of
+        # adjacent pairs, so sweeping fan-ins times one computation, and no
+        # group is handed to pmap.
+        def no_pmap(*args, **kwargs):
+            raise AssertionError("inline pmconcat called pmap")
 
-    def test_fanin_three_builds_another_tree(self):
-        pairs = MonoidOps(identity=tuple, combine=lambda a, b: (a, b))
-        assert any(pmconcat(pairs, 3, range(n)) != pmconcat(pairs, 2, range(n))
-                   for n in range(4, 300))
+        monkeypatch.setattr(monoid, "pmap", no_pmap)
+        for n in range(1, 300):
+            assert len({pmconcat(PAIRS, fanin, range(n)) for fanin in range(10)}) == 1, n
+
+    @pytest.mark.parametrize("fanin, tasks", [(2, 101), (3, 52), (8, 15)])
+    def test_pool_tasks_hold_at_most_fanin_operands(self, fanin, tasks):
+        pool = GroupRecorder()
+        pmconcat(PAIRS, fanin, range(100), pool=pool)
+        assert len(pool.groups) == tasks
+        assert max(map(len, pool.groups)) <= fanin
+        for n in range(fanin + 1):
+            pmconcat(PAIRS, fanin, range(n), pool=pool)
+        assert len(pool.groups) == tasks  # n <= fanin submits nothing
+
+    def test_pool_fanin_three_builds_another_tree(self):
+        two, three = (pmconcat(PAIRS, fanin, range(100), pool=GroupRecorder()) for fanin in (2, 3))
+        assert two != three
 
     @given(st.lists(byte_texts(max_size=8), max_size=20), st.integers(0, 6))
     @settings(deadline=None)

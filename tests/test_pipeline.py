@@ -14,6 +14,7 @@ from parmatch import (
     to_sm_par,
     verify_equivalence,
 )
+from parmatch import pipeline
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
 from support import bt
@@ -58,7 +59,7 @@ class TestChunkPlan:
     def test_sweep_contains_boundary_splitter(self):
         plans = default_plan_sweep(target_length=5)
         assert ChunkPlan(2, 4) in plans
-        assert len(plans) == 10
+        assert len(plans) == 4
         assert ChunkPlan(2, 1) in default_plan_sweep(target_length=0)
 
 
@@ -196,7 +197,31 @@ class TestVerifyEquivalence:
         text = ByteText(bytes(rng.choice(b"abcd") for _ in range(2048)))
         report = verify_equivalence(text, bt("abc"))
         assert report.ok
-        assert len(report.entries) == 10
+        assert len(report.entries) == 4
+
+    def test_times_to_sm_next_to_each_plan(self, monkeypatch):
+        calls = []
+
+        def logged(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        def par(plan, text, target, pool):
+            # A stand-in: the real pipeline's workers call to_sm too.
+            return to_sm(text, target)
+
+        monkeypatch.setattr(pipeline, "to_sm", logged("seq", to_sm))
+        monkeypatch.setattr(pipeline, "to_sm_par", logged("par", par))
+        plans = [ChunkPlan(2, size) for size in (1, 3, 7)]
+        report = verify_equivalence(bt("abababa"), bt("aba"), plans)
+        assert calls == ["seq", "par"] * 3
+        assert report.ok and report.sequential == to_sm(bt("abababa"), bt("aba"))
+        calls.clear()
+        report = verify_equivalence(bt("abababa"), bt("aba"), [])
+        assert calls == ["seq"]
+        assert report.entries == [] and report.sequential.indices == (0, 2, 4)
 
     def test_text_table_shape(self):
         report = verify_equivalence(bt("abababa"), bt("aba"), [ChunkPlan(2, 3)])
