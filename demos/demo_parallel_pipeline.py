@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Walkthrough: the two-level parallel pipeline and its verification sweep.
 
-Cut the input into one run of chunks per worker, let each process-pool
-worker scan its chunks and fold them, fold the per-worker matchers in the
+Deal the input as one run of chunks per worker, let each process-pool
+worker scan its chunks and fold them, fold the per-worker windows in the
 parent, and confirm the result is byte-identical to the sequential scan
-for a sweep of chunk sizes.
+for a sweep of chunk sizes.  Each worker receives only its run's bytes
+and sends back absolute indices, never text.
 """
 
 import random

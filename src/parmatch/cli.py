@@ -81,12 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
-        help="chunk size in bytes (default: input length / (--threads or CPU count), min 1)",
+        help="chunk size in bytes (default: input length / (--threads or CPU count), "
+             "min 1; with --mode par, the whole input when it scans inline)",
     )
     parser.add_argument(
         "--threads", type=_positive_int, default=None,
         help=f"workers of the --processes pool (at most the CPUs this process may run on), "
-             f"used from {PAR_MIN_BYTES} bytes of input on; also sets the default chunk size",
+             f"used from {PAR_MIN_BYTES} bytes of input on; also sets the default chunk size, "
+             f"except for an input that --mode par scans inline",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
     parser.add_argument(
@@ -171,13 +173,18 @@ def _make_pool(workers: int) -> Executor:
     return pool
 
 
-def _plans(args: argparse.Namespace, input_length: int, workers: int) -> list[ChunkPlan]:
-    """``--chunk``, else one chunk per worker, or for ``--mode bench`` half,
-    one and two, none past the whole input; all at ``--branch``, which the
+def _plans(args: argparse.Namespace, input_length: int, workers: int,
+           pooled: bool) -> list[ChunkPlan]:
+    """``--chunk``; else for ``--mode par`` one chunk per worker of the pool,
+    or one chunk when the input scans inline, where more chunks only add
+    merges; else one chunk per worker, or for ``--mode bench`` half, one
+    and two, none past the whole input.  All are at ``--branch``, which the
     CLI's inline merges ignore, so fan-ins are not swept.
     """
     if args.chunk is not None:
         return [ChunkPlan(args.branch, args.chunk)]
+    if args.mode == "par" and not pooled:
+        workers = 1
     halves = (1, 2, 4) if args.mode == "bench" else (2,)  # k / 2 chunks per worker
     sizes = {max(min(input_length * k // (2 * workers), input_length), 1) for k in halves}
     return [ChunkPlan(args.branch, size) for size in sorted(sizes)]
@@ -226,10 +233,10 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             text = _read_input(path, err)
             if text is None:
                 return EXIT_USAGE
-            plans = _plans(args, len(text), workers)
             map_pool = None
             if args.processes and args.mode != "seq" and len(text) >= PAR_MIN_BYTES:
                 map_pool = pool = pool or _make_pool(workers)
+            plans = _plans(args, len(text), workers, map_pool is not None)
             if args.mode == "seq":
                 matcher, seq_ms = timed(to_sm, text, target)
                 timings = {"seq": seq_ms}

@@ -15,6 +15,13 @@ concatenation keeps the index list sorted.  :func:`to_sm` builds a matcher
 by scanning, and the whole point of the design is that it distributes over
 concatenation, so matching can be chunked and run in parallel.
 
+The seam rule itself lives in :func:`join_windows`, over *windows*
+``(lo, hi, indices)`` of one buffer whose indices are absolute offsets:
+adjacent windows join by rescanning the seam alone, with no shift.
+:func:`sm_append` states its merge through it, and the parallel pipeline
+folds windows of the caller's buffer with :func:`window_ops`, so the
+merge has one definition.
+
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
 differential-test everything else.
@@ -68,16 +75,59 @@ def sm_empty(target: ByteText) -> StringMatcher:
     return StringMatcher(target, ByteText(), ())
 
 
+def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int, int, list[int]]:
+    """The window ``(lo, hi, indices)``: the good indices of ``target``
+    lying wholly inside ``[lo, hi)`` of ``text``, as absolute offsets.
+
+    An empty target matches at every offset of the window but not at
+    ``hi``, as :func:`to_sm` does.
+    """
+    return lo, hi, make_indices(text, target, lo, hi - max(len(target), 1))
+
+
+def join_windows(
+    text: ByteText, target: ByteText, left: tuple, right: tuple
+) -> tuple[int, int, list[int]]:
+    """Join adjacent windows ``(lo, mid, a)`` and ``(mid, hi, b)`` of ``text``.
+
+    A window lists the good indices lying wholly inside ``[lo, hi)``, as
+    absolute offsets.  The join keeps ``a`` and ``b`` as they are and adds
+    the matches that straddle ``mid``: it rescans only the start positions
+    ``max(lo, mid - m + 1)`` to ``min(mid - 1, hi - m)``, at most ``m - 1``
+    of them for an ``m``-byte target.  An empty window, at any offset, is
+    the identity.
+    """
+    lo, mid, a = left
+    start, hi, b = right
+    if lo == mid:
+        return right
+    if start == hi:
+        return left
+    m = len(target)
+    seam = make_indices(text, target, max(lo, mid - m + 1), min(mid - 1, hi - m))
+    return lo, hi, [*a, *seam, *b]
+
+
+def window_ops(text: ByteText, target: ByteText) -> MonoidOps:
+    """Adjacent windows of ``text`` as a monoid; identity is the empty window."""
+    return MonoidOps(identity=_empty_window, combine=partial(join_windows, text, target))
+
+
+def _empty_window() -> tuple[int, int, list[int]]:
+    return 0, 0, []
+
+
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     """Combine two matchers over the same target.
 
     The result lists ``a``'s indices unchanged, then the matches that
     straddle the seam (found by rescanning the last ``len(target) - 1``
     start positions of ``a.text``), then ``b``'s indices shifted by
-    ``len(a.text)``.  The test suite states the paper's three lemma
-    functions (cast, new, shift) in ``tests/support.py`` and checks this
-    merge against their concatenation.  An operand with empty text is the
-    identity: its seam window is empty, so the result equals the other operand.
+    ``len(a.text)``.  The seam is :func:`join_windows`'s, over the two
+    inputs as adjacent windows of their concatenation.  The test suite
+    states the paper's three lemma functions (cast, new, shift) in
+    ``tests/support.py`` and checks this merge against their
+    concatenation.  An operand with empty text is the identity.
     """
     if a.target != b.target:
         raise TargetMismatchError(
@@ -86,8 +136,11 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     target = a.target
     combined = a.text + b.text
     split = len(a.text)
-    seam = make_indices(combined, target, split - len(target) + 1, split - 1)
-    return StringMatcher(target, combined, (*a.indices, *seam, *[i + split for i in b.indices]))
+    shifted = [i + split for i in b.indices]
+    _, _, indices = join_windows(
+        combined, target, (0, split, a.indices), (split, len(combined), shifted)
+    )
+    return StringMatcher(target, combined, tuple(indices))
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:

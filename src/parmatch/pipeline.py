@@ -1,10 +1,12 @@
 """Two-level parallel matching and the sequential/parallel cross-check.
 
-:func:`to_sm_par` is the production path: cut the input into chunks once,
-deal the chunk list as one run per worker (one run when inline), let each
-worker scan and fold its run, then tree-reduce the per-run matchers.  It
-equals the sequential :func:`~parmatch.matcher.to_sm` for every plan, and
-:func:`verify_equivalence` checks that as a differential test with
+:func:`to_sm_par` is the production path.  It never copies the input: a
+chunk is a window ``[lo, hi)`` of the caller's buffer, the chunks are
+dealt as one run per worker (one run when inline), each worker scans and
+folds the windows of its run, and the run windows are tree-reduced.
+Indices are absolute offsets into the buffer, so no merge shifts them.
+It equals the sequential :func:`~parmatch.matcher.to_sm` for every plan,
+and :func:`verify_equivalence` checks that as a differential test with
 timings, scanning on at most one pool and merging inline.
 """
 
@@ -16,7 +18,7 @@ from functools import partial
 from itertools import zip_longest
 
 from .bytetext import ByteText, Value
-from .matcher import StringMatcher, matcher_ops, to_sm
+from .matcher import StringMatcher, scan_window, to_sm, window_ops
 from .monoid import TYPE_CHECKING, pmap, pmconcat
 
 if TYPE_CHECKING:
@@ -26,7 +28,7 @@ if TYPE_CHECKING:
 class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
-    ``chunk_size`` is the byte length of the slices scanned on their own;
+    ``chunk_size`` is the byte length of the windows scanned on their own;
     ``branch`` is the fan-in of the final merge's tasks on a ``reduce_pool``
     (1 acts as 2).  Every other merge runs inline, where no fan-in changes
     the tree.  Both are ints >= 1.
@@ -54,9 +56,36 @@ def timed(fn, *args):
     return result, (time.perf_counter() - started) * 1000.0
 
 
-def _scan_run(target: ByteText, pieces: list[ByteText]) -> StringMatcher:
-    """One map task: scan each of ``pieces`` on its own, then fold them inline."""
-    return pmconcat(matcher_ops(target), 2, [to_sm(piece, target) for piece in pieces])
+class _Run:
+    """The whole chunks ``[lo, hi)`` of ``text`` that one map task scans.
+
+    In this process a run refers to the caller's ``text``, so dealing runs
+    copies no input byte.  Pickled for a process worker, it carries only
+    its own bytes, rebased to start at 0, and ``base``, the offset they
+    were cut at.  ``lo`` is a multiple of ``size``, so its chunks are the
+    plan's chunks.
+    """
+
+    __slots__ = ("text", "lo", "hi", "size", "base")
+
+    def __init__(self, text: ByteText, lo: int, hi: int, size: int, base: int = 0) -> None:
+        self.text, self.lo, self.hi, self.size, self.base = text, lo, hi, size, base
+
+    def __reduce__(self) -> tuple:
+        piece = ByteText(self.text.data[self.lo : self.hi])
+        return _Run, (piece, 0, self.hi - self.lo, self.size, self.base + self.lo)
+
+
+def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list[int]]:
+    """One map task: scan each chunk of ``run`` on its own, fold the windows
+    inline, and return the run's window with absolute indices."""
+    text, hi, size, base = run.text, run.hi, run.size, run.base
+    windows = [scan_window(text, target, lo, min(lo + size, hi))
+               for lo in range(run.lo, hi, size) or (run.lo,)]
+    lo, hi, indices = pmconcat(window_ops(text, target), 2, windows)
+    if base:
+        indices = [i + base for i in indices]
+    return lo + base, hi + base, indices
 
 
 def to_sm_par(
@@ -68,26 +97,37 @@ def to_sm_par(
 ) -> StringMatcher:
     """Chunked, parallel matching; result is identical to ``to_sm``.
 
-    The text is cut once, by ``ByteText.chunks``, and the chunk list is
-    dealt as one contiguous slice per worker of ``map_pool`` (never more
-    runs than chunks; run lengths differ by at most one chunk).  Each run
-    is one task: the worker scans every chunk of its run on its own and
-    folds them, so every chunk seam still goes through ``sm_append``.
-    ``map_pool=None`` is one worker, so the whole list is one run, scanned
-    inline.  The per-run matchers are folded on ``reduce_pool``, in tasks
-    of ``plan.branch`` operands, or inline when it is ``None``.  The worker
-    count is the pool's ``_max_workers`` (CPython's executors keep it
-    there), else the CPUs this process may run on.  Nothing in the package
-    passes ``reduce_pool``; it stays because perfbench's harness calls this
-    with both pools, so retiring it waits for a change to that benchmark.
+    The text is never copied or cut: a chunk is a window ``[lo, hi)`` of
+    the caller's buffer, ``plan.chunk_size`` bytes long (the last may be
+    shorter), and the chunk list is dealt as one contiguous run of whole
+    chunks per worker of ``map_pool`` (never more runs than chunks; run
+    lengths differ by at most one chunk).  Each run is one task: the worker
+    scans every chunk of its run on its own and folds the windows with
+    :func:`~parmatch.matcher.join_windows`, so every chunk seam still goes
+    through the one merge.  Indices are absolute offsets into ``text``, so
+    no merge shifts them.  Inline and thread runs read the caller's
+    buffer; a process task ships one slice, its run's bytes, and its worker
+    returns ``(lo, hi, indices)``, never text.  ``map_pool=None`` is one
+    worker, so the whole chunk list is one run, scanned inline.  The run
+    windows are folded on ``reduce_pool``, in tasks of ``plan.branch``
+    operands, or inline when it is ``None``; a process ``reduce_pool``
+    would ship the whole buffer with each merge task.  The result wraps the
+    caller's own ``text``.  The worker count is the pool's
+    ``_max_workers`` (CPython's executors keep it there), else the CPUs
+    this process may run on.  Nothing in the package passes
+    ``reduce_pool``; it stays because perfbench's harness calls this with
+    both pools, so retiring it waits for a change to that benchmark.
     """
-    pieces = text.chunks(plan.chunk_size)
-    n = len(pieces)
+    size = plan.chunk_size
+    length = len(text)
+    n = max(-(-length // size), 1)
     workers = getattr(map_pool, "_max_workers", None) or _cpu_count()
     runs = 1 if map_pool is None else min(workers, n)
-    dealt = [pieces[k * n // runs : (k + 1) * n // runs] for k in range(runs)]
-    matchers = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    return pmconcat(matcher_ops(target), plan.branch, matchers, pool=reduce_pool)
+    cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
+    dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
+    windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
+    _, _, indices = pmconcat(window_ops(text, target), plan.branch, windows, pool=reduce_pool)
+    return StringMatcher(target, text, tuple(indices))
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:

@@ -654,6 +654,30 @@ class TestPoolChoice:
         assert child.returncode == 0, child.stderr.decode(errors="replace")
         assert child.stdout.split() == [b"0", b"False", b"False"]
 
+    @pytest.mark.parametrize("flags, pooled", [([], False), (["--processes"], False),
+                                                (["--processes"], True)],
+                             ids=["inline", "below-threshold", "on-pool"])
+    def test_par_default_plan_is_one_chunk_inline(self, sized, monkeypatch, flags, pooled):
+        # Inline, more chunks only add merges; an explicit --chunk still wins.
+        if pooled:
+            monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
+        plans, real = [], cli.to_sm_par
+
+        def par(plan, *args):
+            plans.append(plan)
+            return real(plan, *args)
+
+        monkeypatch.setattr(cli, "to_sm_par", par)
+        path = sized(1000)
+        for chunk in ([], ["--chunk", "10"]):
+            status, out, _ = invoke(["--target", "aba", "--mode", "par", "--threads",
+                                     self.WORKERS, *flags, *chunk, "--input", path])
+            assert status == cli.EXIT_MATCH
+            assert out == invoke(["--target", "aba", "--mode", "seq", "--input", path])[1]
+        default = 1000 // int(self.WORKERS) if pooled else 1000
+        assert [plan.chunk_size for plan in plans] == [default, 10]
+        assert multiprocessing.active_children() == []
+
 
 class TestCpuCount:
     """The worker count defaults to, and under ``--processes`` may not exceed,

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from parmatch import (
     ByteText,
@@ -16,7 +16,7 @@ from parmatch import (
     to_sm,
     to_sm_witness,
 )
-from parmatch.matcher import make_indices
+from parmatch.matcher import join_windows, make_indices, scan_window, window_ops
 
 from support import (
     EMPTY,
@@ -162,6 +162,39 @@ class TestIndexGroups:
         combined = left + right
         merged = full_scan(left, target) + make_new_indices(left, right, target)
         assert merged == make_indices(combined, target, 0, len(left) - 1)
+
+
+class TestWindows:
+    """Windows ``(lo, hi, indices)`` of one buffer, with absolute indices."""
+
+    @given(dense_cases(), st.data())
+    def test_window_lists_the_matches_wholly_inside(self, case, data):
+        text, target = case
+        lo = data.draw(st.integers(0, len(text)))
+        hi = data.draw(st.integers(lo, len(text)))
+        inside = [i for i in naive_match(text, target) if lo <= i and i + len(target) <= hi
+                  and i < hi]
+        assert scan_window(text, target, lo, hi) == (lo, hi, inside)
+
+    @given(dense_cases(), st.data())
+    def test_join_of_adjacent_windows_scans_their_union(self, case, data):
+        # Includes empty windows and windows shorter than the target.
+        text, target = case
+        lo, mid, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(3))
+        joined = join_windows(text, target, scan_window(text, target, lo, mid),
+                              scan_window(text, target, mid, hi))
+        assert joined == scan_window(text, target, lo, hi)
+
+    @given(dense_cases(), st.data())
+    def test_empty_window_is_the_identity_anywhere(self, case, data):
+        text, target = case
+        assume(text)
+        ops = window_ops(text, target)
+        lo = data.draw(st.integers(0, len(text) - 1))
+        hi = data.draw(st.integers(lo + 1, len(text)))
+        window = scan_window(text, target, lo, hi)
+        assert ops.combine(ops.identity(), window) == window
+        assert ops.combine(window, ops.identity()) == window
 
 
 class TestMatcherMonoid:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import pickle
 import random
 import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -10,11 +12,14 @@ from parmatch import (
     ByteText,
     ChunkPlan,
     StringMatcher,
+    naive_match,
+    pmconcat,
     to_sm,
     to_sm_par,
     verify_equivalence,
 )
 from parmatch import pipeline
+from parmatch.matcher import window_ops
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
 from support import bt
@@ -48,6 +53,31 @@ class RunRecorder(Executor):
         future = Future()
         future.set_result(fn(*args, **kwargs))
         return future
+
+
+class PicklingPool(Executor):
+    """Runs each task inline, as a process pool would: the task goes through
+    pickle and so does its result.  Keeps the unpickled arguments and the
+    pickled size of each task."""
+
+    def __init__(self, workers: int) -> None:
+        self._max_workers = workers
+        self.shipped = []
+        self.args = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        task = pickle.dumps((fn, args))
+        self.shipped.append(len(task))
+        fn, args = pickle.loads(task)
+        self.args.append(args)
+        future = Future()
+        future.set_result(pickle.loads(pickle.dumps(fn(*args, **kwargs))))
+        return future
+
+
+def run_bytes(run) -> bytes:
+    """The input bytes a run covers."""
+    return run.text.data[run.lo : run.hi]
 
 
 class TestChunkPlan:
@@ -107,32 +137,78 @@ class TestDispatch:
         for size in sorted(sizes):
             pool = RunRecorder(workers)
             assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
-            lengths = [sum(map(len, run)) for run in pool.runs]
+            lengths = [run.hi - run.lo for run in pool.runs]
             assert len(lengths) == min(workers, max(-(-n // size), 1)), size
+            assert all(run.lo % size == 0 and run.size == size for run in pool.runs), size
             assert all(length % size == 0 for length in lengths[:-1]), (size, lengths)
-            assert b"".join(bytes(piece) for run in pool.runs for piece in run) == bytes(text)
+            assert b"".join(map(run_bytes, pool.runs)) == bytes(text)
             assert max(lengths) - min(lengths) <= size, (size, lengths)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_copies_each_input_byte_at_most_once(self, workers, monkeypatch):
-        # Chunking is the only copy: each input byte lands in one chunk, once.
+        # In this process a run is a window of the caller's own buffer, so
+        # inline and thread runs copy no input byte; a process task ships
+        # its run's bytes once, so all tasks together carry the input once.
         n = 4099
         text = ByteText(bytes(random.Random(n).choices(b"ab", k=n)))
         target = bt("abba")
-        copied = []
-        substring = ByteText.substring
+        runs = []
+        scan_run = pipeline._scan_run
 
-        def counting_substring(self, offset, length):
-            piece = substring(self, offset, length)
-            copied.append(len(piece))
-            return piece
+        def recording_scan_run(target, run):
+            runs.append(run)
+            return scan_run(target, run)
 
-        monkeypatch.setattr(ByteText, "substring", counting_substring)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for size in (1, 7, 64, n // 2, n, n + 5):
-                copied.clear()
+        sizes = (1, 7, 64, n // 2, n, n + 5)
+        with monkeypatch.context() as patched, ThreadPoolExecutor(workers) as threads:
+            patched.setattr(pipeline, "_scan_run", recording_scan_run)
+            for size, pool in itertools.product(sizes, (None, threads)):
+                runs.clear()
                 assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
-                assert sum(copied) <= n, (size, sum(copied))
+                assert runs and all(run.text.data is text.data for run in runs), size
+        for size in sizes:
+            processes = PicklingPool(workers)
+            assert to_sm_par(ChunkPlan(2, size), text, target, processes) == to_sm(text, target)
+            shipped = [run for (run,) in processes.args]
+            assert sum(len(run.text) for run in shipped) == n, size
+            assert all(run.lo == 0 and run.hi == len(run.text) for run in shipped), size
+            assert b"".join(run.text.data for run in shipped) == text.data
+
+    @pytest.mark.parametrize("plan", default_plan_sweep(8), ids=str)
+    def test_map_tasks_ship_linear_bytes(self, plan):
+        # Deterministic: the pickled size of every map task, summed.
+        def shipped(n):
+            text = ByteText(bytes(random.Random(n).choices(b"ab", k=n)))
+            target = ByteText(bytes(random.Random(-n).choices(b"ab", k=8)))
+            pool = PicklingPool(2)
+            assert to_sm_par(plan, text, target, pool) == to_sm(text, target)
+            return sum(pool.shipped)
+
+        for n in (1024, 4096, 16384):
+            assert shipped(2 * n) <= 2.2 * shipped(n), n
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 16])
+    def test_pickled_run_scans_like_the_run_in_process(self, size):
+        # Runs of whole chunks over a dense text, so matches straddle every
+        # run edge; those belong to neither run, and the merge finds them.
+        text = ByteText(b"ab" * 48)
+        target = bt("abab")
+        runs = [pipeline._Run(text, lo * size, min(hi * size, len(text)), size)
+                for lo, hi in ((0, 5), (5, 11), (11, 96))]
+        windows = []
+        for run in runs:
+            copy = pickle.loads(pickle.dumps(run))
+            assert copy.text.data == run_bytes(run) and copy.base == run.lo
+            window = pipeline._scan_run(target, run)
+            assert pipeline._scan_run(target, copy) == window
+            lo, hi, indices = window
+            assert (lo, hi) == (run.lo, run.hi)
+            assert indices == [i for i in naive_match(text, target) if lo <= i <= hi - 4]
+            windows.append(window)
+        edges = [run.hi for run in runs[:-1]]
+        assert any(i < edge < i + 4 for edge in edges for i in naive_match(text, target))
+        _, _, indices = pmconcat(window_ops(text, target), 2, windows)
+        assert tuple(indices) == to_sm(text, target).indices
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
