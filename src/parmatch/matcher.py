@@ -15,12 +15,13 @@ concatenation keeps the index list sorted.  :func:`to_sm` builds a matcher
 by scanning, and the whole point of the design is that it distributes over
 concatenation, so matching can be chunked and run in parallel.
 
-The seam rule itself lives in :func:`join_windows`, over *windows*
-``(lo, hi, indices)`` of one buffer whose indices are absolute offsets:
-adjacent windows join by rescanning the seam alone, with no shift.
-:func:`sm_append` states its merge through it, and the parallel pipeline
-folds windows of the caller's buffer with :func:`window_ops`, so the
-merge has one definition.
+Every index list is a window scan or a concatenation of window scans:
+:func:`scan_window` lists the matches wholly inside a half-open window
+``[lo, hi)`` of one buffer, as absolute offsets, and is the only caller of
+the scan :func:`make_indices`.  :func:`to_sm` scans ``[0, len(text))``, and
+:func:`join_windows` joins adjacent windows, with no shift, by scanning the
+seam, the ``m - 1`` bytes on each side of the cut.  It is the one merge:
+:func:`sm_append` and the pipeline's :func:`window_ops` both go through it.
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -79,8 +80,8 @@ def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int
     """The window ``(lo, hi, indices)``: the good indices of ``target``
     lying wholly inside ``[lo, hi)`` of ``text``, as absolute offsets.
 
-    An empty target matches at every offset of the window but not at
-    ``hi``, as :func:`to_sm` does.
+    The one scan rule: an empty target matches at every offset of the
+    window but not at ``hi``, and an empty or inverted window lists nothing.
     """
     return lo, hi, make_indices(text, target, lo, hi - max(len(target), 1))
 
@@ -90,12 +91,11 @@ def join_windows(
 ) -> tuple[int, int, list[int]]:
     """Join adjacent windows ``(lo, mid, a)`` and ``(mid, hi, b)`` of ``text``.
 
-    A window lists the good indices lying wholly inside ``[lo, hi)``, as
-    absolute offsets.  The join keeps ``a`` and ``b`` as they are and adds
-    the matches that straddle ``mid``: it rescans only the start positions
-    ``max(lo, mid - m + 1)`` to ``min(mid - 1, hi - m)``, at most ``m - 1``
-    of them for an ``m``-byte target.  An empty window, at any offset, is
-    the identity.
+    The join keeps ``a`` and ``b`` as they are and adds the matches that
+    straddle ``mid``, which are exactly the matches of the seam: the window
+    of the ``m - 1`` bytes on each side of the cut, for an ``m``-byte
+    target, within ``[lo, hi)``.  It has at most ``m - 1`` start positions,
+    and none for ``m <= 1``.  An empty window, at any offset, is the identity.
     """
     lo, mid, a = left
     start, hi, b = right
@@ -104,7 +104,7 @@ def join_windows(
     if start == hi:
         return left
     m = len(target)
-    seam = make_indices(text, target, max(lo, mid - m + 1), min(mid - 1, hi - m))
+    _, _, seam = scan_window(text, target, max(lo, mid - m + 1), min(hi, mid + m - 1))
     return lo, hi, [*a, *seam, *b]
 
 
@@ -146,11 +146,11 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
     """Scan ``text`` and build the complete matcher for ``target``.
 
-    An empty target matches at every offset ``0..len(text) - 1`` but not
-    at ``len(text)``, so an empty input has no match; ``to_sm_par`` and
-    ``naive_match`` follow the same convention.
+    Its indices are the window ``[0, len(text))``: an empty target matches
+    at every offset ``0..len(text) - 1`` but not at ``len(text)``, so an
+    empty input has no match; ``to_sm_par`` and ``naive_match`` agree.
     """
-    indices = make_indices(text, target, 0, len(text) - 1)
+    _, _, indices = scan_window(text, target, 0, len(text))
     return StringMatcher(target, text, tuple(indices))
 
 

@@ -104,25 +104,25 @@ def to_sm_par(
     lengths differ by at most one chunk).  Each run is one task: the worker
     scans every chunk of its run on its own and folds the windows with
     :func:`~parmatch.matcher.join_windows`, so every chunk seam still goes
-    through the one merge.  Indices are absolute offsets into ``text``, so
-    no merge shifts them.  Inline and thread runs read the caller's
+    through the one merge.  Inline and thread runs read the caller's
     buffer; a process task ships one slice, its run's bytes, and its worker
     returns ``(lo, hi, indices)``, never text.  ``map_pool=None`` is one
     worker, so the whole chunk list is one run, scanned inline.  The run
     windows are folded on ``reduce_pool``, in tasks of ``plan.branch``
     operands, or inline when it is ``None``; a process ``reduce_pool``
     would ship the whole buffer with each merge task.  The result wraps the
-    caller's own ``text``.  The worker count is the pool's
-    ``_max_workers`` (CPython's executors keep it there), else the CPUs
-    this process may run on.  Nothing in the package passes
-    ``reduce_pool``; it stays because perfbench's harness calls this with
-    both pools, so retiring it waits for a change to that benchmark.
+    caller's own ``text``.  A pool's worker count is its ``_max_workers``
+    (CPython's executors keep it there), else the CPUs this process may
+    run on.  No package code passes ``reduce_pool``, but perfbench's
+    harness and three tests do (the acceptance pipeline sweep,
+    ``test_deterministic_across_runs`` and the path table's process
+    entry); retiring it ports them, the sweep with its plans and asserts.
     """
     size = plan.chunk_size
     length = len(text)
     n = max(-(-length // size), 1)
-    workers = getattr(map_pool, "_max_workers", None) or _cpu_count()
-    runs = 1 if map_pool is None else min(workers, n)
+    workers = 1 if map_pool is None else getattr(map_pool, "_max_workers", None) or _cpu_count()
+    runs = min(workers, n)
     cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)

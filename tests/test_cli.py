@@ -471,6 +471,14 @@ class TestUsageErrors:
         assert status == cli.EXIT_USAGE
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--chunk", "abc"), ("--threads", "1.5"),
+                                             ("--branch", "")])
+    def test_non_integer_sizes_rejected(self, sample, capsys, flag, value):
+        status, out, _ = invoke(["--target", "aba", "--input", sample, "--mode", "par", flag, value])
+        err = capsys.readouterr().err
+        assert (status, out) == (cli.EXIT_USAGE, "")
+        assert f"argument {flag}: not an integer: {value!r}" in err and "Traceback" not in err
+
     def test_removed_selectors_exit_two(self, sample, capsys):
         # --mode alone picks the run; --verify and --bench are not options.
         help_text = cli.build_parser().format_help()

@@ -1,10 +1,13 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from parmatch import (
     ByteText,
+    ChunkPlan,
     StringMatcher,
     TargetMismatchError,
     check_monoid_laws,
@@ -14,8 +17,10 @@ from parmatch import (
     sm_append,
     sm_empty,
     to_sm,
+    to_sm_par,
     to_sm_witness,
 )
+from parmatch import matcher
 from parmatch.matcher import join_windows, make_indices, scan_window, window_ops
 
 from support import (
@@ -195,6 +200,61 @@ class TestWindows:
         window = scan_window(text, target, lo, hi)
         assert ops.combine(ops.identity(), window) == window
         assert ops.combine(window, ops.identity()) == window
+
+
+class TestOneScan:
+    """Every index list is a window scan: ``scan_window`` is the only caller
+    of the scan ``make_indices``, and a join scans only its seam."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Each kernel call as ``(caller, caller's caller, start positions)``."""
+        calls = []
+        real = matcher.make_indices
+
+        def recording(text, target, lo, hi):
+            last = min(hi, len(text) - max(len(target), 1))
+            caller = sys._getframe(1)
+            calls.append((caller.f_code.co_name, caller.f_back.f_code.co_name,
+                          max(last + 1 - max(lo, 0), 0)))
+            return real(text, target, lo, hi)
+
+        monkeypatch.setattr(matcher, "make_indices", recording)
+        return calls
+
+    def test_scan_window_is_the_only_caller(self, scans):
+        rng = random.Random(43)
+        text = ByteText(bytes(rng.choices(b"ab", k=200)))
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for target in map(bt, ["", "a", "ab", "aba", "abab", "babba"]):
+                expected = naive_match(text, target)
+                assert list(to_sm(text, target).indices) == expected
+                for cut in (0, 1, 99, 200):
+                    left, right = text.take(cut), text.drop(cut)
+                    merged = sm_append(to_sm(left, target), to_sm(right, target))
+                    assert list(merged.indices) == expected
+                for size in (1, 2, 7, 64, 200):
+                    for pool_or_none in (None, pool):
+                        result = to_sm_par(ChunkPlan(2, size), text, target, pool_or_none)
+                        assert list(result.indices) == expected
+        assert scans
+        assert {caller for caller, _, _ in scans} == {"scan_window"}
+
+    def test_a_join_scans_at_most_m_minus_one_positions(self, scans):
+        text = bt("abaababaab")
+        for target in map(bt, ["", "a", "ab", "aba", "abaa", "ababa"]):
+            bound = max(len(target) - 1, 0)
+            for hi in range(len(text) + 1):
+                for mid in range(hi + 1):
+                    for lo in range(mid + 1):
+                        left = scan_window(text, target, lo, mid)
+                        right = scan_window(text, target, mid, hi)
+                        scans.clear()
+                        join_windows(text, target, left, right)
+                        seam = [n for caller, outer, n in scans
+                                if "join_windows" in (caller, outer)]
+                        assert len(seam) == len(scans) <= 1
+                        assert sum(seam) <= bound, (target, lo, mid, hi)
 
 
 class TestMatcherMonoid:

@@ -300,6 +300,22 @@ class TestLawChecker:
         # halving stops at the smallest element that still fails
         assert len(witness) == 1
 
+    def test_plain_monoid_reports_its_witness_unshrunk(self):
+        # Only a ChunkableOps has a window to shrink with; a plain MonoidOps
+        # reports the generated witness as it came.
+        keeps_left = MonoidOps(identity=lambda: 0, combine=lambda x, y: x)
+        rng = random.Random(37)
+        report = check_monoid_laws(keeps_left, lambda: rng.randrange(1, 1000), trials=20)
+        assert [result.law for result in report.results if not result.passed] == ["left_identity"]
+        witness = random.Random(37).randrange(1, 1000)  # the first value generated
+        assert report.results[0].counterexample == (witness,)
+        assert (f"law=left_identity trials=20 result=fail counterexample=({witness},)"
+                in report.to_text())
+        assert json.loads(report.to_json())[0] == {
+            "law": "left_identity", "trials": 20, "passed": False,
+            "counterexample": [repr(witness)],
+        }
+
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             check_monoid_laws(int_add_ops(), lambda: 0, trials=0)

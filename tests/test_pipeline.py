@@ -234,6 +234,32 @@ class TestCpuCount:
         monkeypatch.setattr(os, "cpu_count", lambda: host)
         assert _cpu_count() == expected
 
+    def test_inline_runs_read_no_cpu_count(self, monkeypatch):
+        def unavailable():
+            raise AssertionError("an inline run read the CPU count")
+
+        monkeypatch.setattr(pipeline, "_cpu_count", unavailable)
+        text, target = bt("abcab" * 40), bt("abcab")
+        sequential = to_sm(text, target)
+        for plan in default_plan_sweep(len(target)):
+            assert to_sm_par(plan, text, target) == sequential
+        report = verify_equivalence(text, target, map_pool=None)
+        assert report.ok and report.sequential == sequential
+
+    def test_pool_without_max_workers_reads_cpu_count_once_per_call(self, monkeypatch):
+        class InlinePool(Executor):
+            def submit(self, fn, /, *args, **kwargs):
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        reads = []
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: reads.append(1) or 2)
+        text, target = bt("abcab" * 40), bt("abcab")
+        for calls in (1, 2, 3):
+            assert to_sm_par(ChunkPlan(2, 7), text, target, InlinePool()) == to_sm(text, target)
+            assert len(reads) == calls
+
 
 class TestFirstDivergence:
     @pytest.mark.parametrize(
