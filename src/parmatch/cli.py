@@ -38,12 +38,15 @@ INDEX_BLOCK = 8192
 
 # Smallest input that --processes scans on the pool; smaller ones run the
 # same plan inline.  A pool of w workers saves n * c * (1 - 1/w) on an
-# n-byte input and costs P to start, so it repays itself once
-# n > P / (c * (1 - 1/w)).  With P ~ 43 ms to start a pool and c ~ 109 ns/B
-# for the scan, break-even is 0.79 MB at w = 2, 0.53 MB at w = 4 and
-# 0.39 MB for any w.  Measured on 2 CPUs, the pool lost at 256 KiB and won
-# at 1 MiB.  A faster scan lowers c and so raises this bound.
-PAR_MIN_BYTES = 512 * 1024
+# n-byte input, costs P to start and t per byte to ship each run to its
+# worker, so it repays itself once n > P / (c * (1 - 1/w) - t).  With
+# P ~ 43 ms to start a pool, c ~ 36 ns/B for the scan and t ~ 3.6 ns/B to
+# pickle and send a run, break-even is 3.0 MB at w = 2 and 1.3 MB for any
+# w.  Measured on 2 CPUs (CLI wall time, medians of 9), the pool took
+# 1.22x the inline time at 1 MiB and 1.02x at 2 MiB, and 0.81x at 4 MiB.
+# A faster scan lowers c and so raises this bound; once c * (1 - 1/w)
+# falls below t, no input repays a pool that ships its bytes.
+PAR_MIN_BYTES = 4 * 1024 * 1024
 
 
 def _positive_int(value: str) -> int:
@@ -272,7 +275,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 })
             else:
                 for start in range(0, len(indices), INDEX_BLOCK):
-                    out.write("".join(f"{i}\n" for i in indices[start : start + INDEX_BLOCK]))
+                    block = indices[start : start + INDEX_BLOCK]  # a tuple, as % needs
+                    out.write("%d\n" * len(block) % block)
                 print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:

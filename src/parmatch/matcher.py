@@ -45,13 +45,20 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
 
     An empty range (``hi < lo``) yields an empty list, and so does
     ``len(text)``, even for the empty target.  A negative ``lo`` reads
-    as 0.  The scan checks every candidate position directly.
+    as 0.  The scan compares the target's first byte at each candidate
+    position and slices out the whole window only where it matches, the
+    check that Horspool's skip loop is built on; the empty target has no
+    first byte and matches at every candidate.
     """
     data = text.data
     tg = target.data
     width = len(tg)
     last = min(hi, len(data) - max(width, 1))
-    return [i for i in range(max(lo, 0), last + 1) if data[i : i + width] == tg]
+    if not width:
+        return list(range(max(lo, 0), last + 1))
+    first = tg[0]
+    return [i for i in range(max(lo, 0), last + 1)
+            if data[i] == first and data[i : i + width] == tg]
 
 
 class StringMatcher(Value):

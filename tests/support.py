@@ -158,13 +158,18 @@ def seam_cases(draw, max_size: int = 64):
     return ByteText(text), ByteText((unit * (m // p + 1))[:m])
 
 
+def any_cases():
+    """(input, target) pairs: dense, random bytes, or adversarial."""
+    return st.one_of(
+        dense_cases(), st.tuples(byte_texts(), byte_texts(max_size=4)), seam_cases()
+    )
+
+
 @st.composite
 def path_cases(draw):
     """(input, target, plan): random or adversarial pairs, and chunk sizes of
     1, below m, m - 1, the target's period, any, and at least the input length."""
-    text, target = draw(st.one_of(
-        dense_cases(), st.tuples(byte_texts(), byte_texts(max_size=4)), seam_cases()
-    ))
+    text, target = draw(any_cases())
     n, m = len(text), len(target)
     size = draw(st.one_of(
         st.sampled_from([1, max(m - 1, 1), period(target.data)]),

@@ -3,7 +3,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from parmatch import (
     ByteText,
@@ -25,6 +25,7 @@ from parmatch.matcher import join_windows, make_indices, scan_window, window_ops
 
 from support import (
     EMPTY,
+    any_cases,
     bt,
     byte_texts,
     cast_indices,
@@ -39,6 +40,16 @@ from support import (
 def full_scan(text, target):
     """The paper's ``makeSMIndices``: every good index, ascending."""
     return make_indices(text, target, 0, len(text) - 1)
+
+
+@st.composite
+def any_windows(draw):
+    """(input, target, lo, hi): any case, with ``lo`` and ``hi`` past
+    either end and inverted windows."""
+    text, target = draw(any_cases())
+    lo = draw(st.integers(-3, len(text) + 1))
+    hi = draw(st.integers(lo - 2, len(text) + 2))
+    return text, target, lo, hi
 
 
 class TestGoodIndex:
@@ -69,12 +80,15 @@ class TestMakeIndices:
         assert make_indices(bt("ababcabcab"), bt("abcab"), 0, 9) == [2, 5]
         assert make_indices(bt("ababcabcab"), bt("abcab"), 3, 9) == [5]
 
-    @given(dense_cases(), st.data())
-    def test_any_window_equals_naive_match(self, case, data):
+    @given(any_windows())
+    @example((bt("abc"), EMPTY, -1, 5))  # no first byte: every candidate
+    @example((bt(b"\x80\xff\xff\x00\xff"), bt(b"\xff\x00"), 0, 5))  # high bytes
+    @example((bt("aXaYabc"), bt("abc"), 0, 6))  # first byte matches, tail does not
+    @example((bt("xxab"), bt("ab"), 0, 2))  # a match at the last candidate
+    @example((bt("xxab"), bt("ab"), -3, 9))
+    def test_any_window_equals_naive_match(self, window):
         # lo < 0, hi < lo, hi past the end, and windows ending in the last m bytes
-        text, target = case
-        lo = data.draw(st.integers(-3, len(text) + 1))
-        hi = data.draw(st.integers(lo - 2, len(text) + 2))
+        text, target, lo, hi = window
         expected = [i for i in naive_match(text, target) if lo <= i <= hi]
         assert make_indices(text, target, lo, hi) == expected
 
