@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--branch", type=_positive_int, default=4,
-        help="fan-in of a merge's tasks on a pool; the CLI merges inline, so it changes no work",
+        help="plan fan-in, shown by --mode bench; every merge runs inline, so it changes no work",
     )
     parser.add_argument(
         "--chunk", type=_positive_int, default=None,
@@ -181,8 +181,8 @@ def _plans(args: argparse.Namespace, input_length: int, workers: int,
     """``--chunk``; else for ``--mode par`` one chunk per worker of the pool,
     or one chunk when the input scans inline, where more chunks only add
     merges; else one chunk per worker, or for ``--mode bench`` half, one
-    and two, none past the whole input.  All are at ``--branch``, which the
-    CLI's inline merges ignore, so fan-ins are not swept.
+    and two, none past the whole input.  All are at ``--branch``, which no
+    merge reads, so fan-ins are not swept.
     """
     if args.chunk is not None:
         return [ChunkPlan(args.branch, args.chunk)]

@@ -1,13 +1,13 @@
-"""Two-level parallel matching and the sequential/parallel cross-check.
+"""Parallel matching and the sequential/parallel cross-check.
 
 :func:`to_sm_par` is the production path.  It never copies the input: a
 chunk is a window ``[lo, hi)`` of the caller's buffer, the chunks are
 dealt as one run per worker (one run when inline), each worker scans and
-folds the windows of its run, and the run windows are tree-reduced.
-Indices are absolute offsets into the buffer, so no merge shifts them.
-It equals the sequential :func:`~parmatch.matcher.to_sm` for every plan,
-and :func:`verify_equivalence` checks that as a differential test with
-timings, scanning on at most one pool and merging inline.
+folds the windows of its run in parallel, and the caller folds the run
+windows.  Indices are absolute offsets into the buffer, so no merge
+shifts them.  It equals the sequential :func:`~parmatch.matcher.to_sm`
+for every plan, and :func:`verify_equivalence` checks that as a
+differential test with timings.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ if TYPE_CHECKING:
 class ChunkPlan(Value):
     """Knobs of the parallel pipeline.
 
-    ``chunk_size`` is the byte length of the windows scanned on their own;
-    ``branch`` is the fan-in of the final merge's tasks on a ``reduce_pool``
-    (1 acts as 2).  Every other merge runs inline, where no fan-in changes
-    the tree.  Both are ints >= 1.
+    ``chunk_size`` is the byte length of the windows scanned on their own.
+    ``branch``, a fan-in, is not read by :func:`to_sm_par`, whose merges
+    all run inline; it is kept because callers still build plans with it.
+    Both are ints >= 1.
     """
 
     __slots__ = ("branch", "chunk_size")
@@ -107,16 +107,14 @@ def to_sm_par(
     through the one merge.  Inline and thread runs read the caller's
     buffer; a process task ships one slice, its run's bytes, and its worker
     returns ``(lo, hi, indices)``, never text.  ``map_pool=None`` is one
-    worker, so the whole chunk list is one run, scanned inline.  The run
-    windows are folded on ``reduce_pool``, in tasks of ``plan.branch``
-    operands, or inline when it is ``None``; a process ``reduce_pool``
-    would ship the whole buffer with each merge task.  The result wraps the
-    caller's own ``text``.  A pool's worker count is its ``_max_workers``
-    (CPython's executors keep it there), else the CPUs this process may
-    run on.  No package code passes ``reduce_pool``, but perfbench's
-    harness and three tests do (the acceptance pipeline sweep,
-    ``test_deterministic_across_runs`` and the path table's process
-    entry); retiring it ports them, the sweep with its plans and asserts.
+    worker, so the whole chunk list is one run, scanned inline.  The caller
+    folds the run windows inline, as a run folds its chunks: there are at
+    most as many as workers, and each merge tries fewer start positions
+    than the target has bytes, too little work to repay a pool task.  The
+    result wraps the caller's own ``text``.  A pool's worker count is its
+    ``_max_workers`` (CPython's executors keep it there), else the CPUs
+    this process may run on.  ``reduce_pool`` is accepted and unused;
+    perfbench's harness still passes it.
     """
     size = plan.chunk_size
     length = len(text)
@@ -126,7 +124,7 @@ def to_sm_par(
     cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    _, _, indices = pmconcat(window_ops(text, target), plan.branch, windows, pool=reduce_pool)
+    _, _, indices = pmconcat(window_ops(text, target), 2, windows)
     return StringMatcher(target, text, tuple(indices))
 
 
@@ -134,8 +132,8 @@ def default_plan_sweep(target_length: int) -> list[ChunkPlan]:
     """Verification sweep: chunk sizes 1, 7 and 64 plus one boundary splitter.
 
     The splitter's chunk size is shorter than the target, forcing every
-    occurrence to straddle a chunk seam.  All plans are at branch 2: the
-    sweep merges inline, where no fan-in changes the tree.
+    occurrence to straddle a chunk seam.  All plans are at branch 2, which
+    :func:`to_sm_par` does not read.
     """
     sizes = {1, 7, 64, max(target_length - 1, 1)}
     return [ChunkPlan(2, size) for size in sorted(sizes)]
@@ -143,14 +141,17 @@ def default_plan_sweep(target_length: int) -> list[ChunkPlan]:
 
 class EquivalenceEntry:
     def __init__(
-        self, plan: ChunkPlan, equal: bool, first_divergence: dict | None,
+        self, plan: ChunkPlan, first_divergence: dict | None,
         sequential_ms: float, parallel_ms: float,
     ) -> None:
         self.plan = plan
-        self.equal = equal
         self.first_divergence = first_divergence
         self.sequential_ms = sequential_ms
         self.parallel_ms = parallel_ms
+
+    @property
+    def equal(self) -> bool:
+        return self.first_divergence is None
 
     @property
     def speedup(self) -> float:
@@ -225,7 +226,5 @@ def verify_equivalence(
         sequential, sequential_ms = timed(to_sm, text, target)
         parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool)
         where = first_divergence(sequential, parallel)
-        entries.append(
-            EquivalenceEntry(plan, where is None, where, sequential_ms, parallel_ms)
-        )
+        entries.append(EquivalenceEntry(plan, where, sequential_ms, parallel_ms))
     return EquivalenceReport(entries, sequential if plans else to_sm(text, target))

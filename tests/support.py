@@ -216,8 +216,8 @@ def matching_paths(threads, processes) -> dict:
     return {
         "to_sm": lambda text, target, plan: to_sm(text, target).indices,
         "to_sm_par inline": par(),
-        "to_sm_par threads": par(threads, threads),
-        "to_sm_par processes": par(processes, processes),
+        "to_sm_par threads": par(threads),
+        "to_sm_par processes": par(processes),
         "verify_equivalence": verified,
         "pmconcat processes": lambda text, target, plan: pmconcat(
             matcher_ops(target), plan.branch, chunk_matchers(text, target, plan), processes

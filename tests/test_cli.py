@@ -618,15 +618,19 @@ class TestPoolChoice:
 
     WORKERS = str(min(2, pipeline._cpu_count()))
 
+    @pytest.fixture(autouse=True)
+    def small_threshold(self, monkeypatch):
+        # The choice is one comparison with PAR_MIN_BYTES, so a threshold of
+        # a few KiB pins it without scanning megabytes on real pools.
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 4096)
+
     def flags(self, mode):
         return ["--target", "aba", "--mode", mode, "--processes", "--threads", self.WORKERS]
 
     @pytest.mark.parametrize("mode", ["par", "both"])
-    @pytest.mark.parametrize("size, pools", [(cli.PAR_MIN_BYTES - 1, []),
-                                             (cli.PAR_MIN_BYTES, ["pool"])],
-                             ids=["below", "at"])
-    def test_pool_starts_at_threshold(self, sized, pool_log, mode, size, pools):
-        path = sized(size)
+    @pytest.mark.parametrize("offset, pools", [(-1, []), (0, ["pool"])], ids=["below", "at"])
+    def test_pool_starts_at_threshold(self, sized, pool_log, mode, offset, pools):
+        path = sized(cli.PAR_MIN_BYTES + offset)
         status, out, _ = invoke([*self.flags(mode), "--input", path])
         assert status == cli.EXIT_MATCH
         assert pool_log == [("read", path), *pools]
@@ -651,6 +655,7 @@ class TestPoolChoice:
         code = (
             "import io, sys\n"
             "from parmatch import cli\n"
+            f"cli.PAR_MIN_BYTES = {cli.PAR_MIN_BYTES}\n"
             f"status = cli.run({argv!r}, out=io.StringIO(), err=io.StringIO())\n"
             "print(status, 'concurrent.futures.process' in sys.modules,"
             " 'multiprocessing' in sys.modules)\n"

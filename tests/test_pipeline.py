@@ -106,12 +106,13 @@ class TestToSmPar:
         target = bt("abab")
         plan = ChunkPlan(2, 3)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = {to_sm_par(plan, text, target, pool, pool).indices for _ in range(10)}
+            results = {to_sm_par(plan, text, target, pool).indices for _ in range(10)}
         assert len(results) == 1
 
 
 class TestDispatch:
-    """The map stage submits one task per worker, not one per chunk."""
+    """The map stage submits one task per worker, not one per chunk, and
+    the merges run in the caller."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_to_sm_par_submits_at_most_one_task_per_worker(self, workers):
@@ -125,6 +126,22 @@ class TestDispatch:
             result = to_sm_par(plan, text, target, pool)
         assert 1 <= pool.submits <= workers
         assert result == to_sm(text, target)
+
+    @pytest.mark.parametrize("branch", range(1, 9))
+    def test_reduce_pool_gets_no_task(self, branch):
+        # perfbench's harness passes a thread pool as reduce_pool, with a
+        # thread or a process map pool.  A merge of four runs on that pool
+        # would submit tasks at branches 1 to 3.
+        text = ByteText(bytes(random.Random(branch).choices(b"ab", k=2048)))
+        target = bt("abab")
+        sequential = to_sm(text, target)
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            reduce_pool = CountingPool(threads)
+            for map_pool in (threads, PicklingPool(4)):
+                for size in (plan.chunk_size for plan in default_plan_sweep(len(target))):
+                    plan = ChunkPlan(branch, size)
+                    assert to_sm_par(plan, text, target, map_pool, reduce_pool) == sequential
+        assert reduce_pool.submits == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 7, 1000, 1001, 1023, 4097])
