@@ -268,7 +268,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 _write_json(out, {
                     "path": path,
                     "target_length": len(target),
-                    "indices": list(indices),
+                    "indices": indices,
                     "count": len(indices),
                     "mode": args.mode,
                     "timings_ms": timings,

@@ -23,6 +23,11 @@ the scan :func:`make_indices`.  :func:`to_sm` scans ``[0, len(text))``, and
 seam, the ``m - 1`` bytes on each side of the cut.  It is the one merge:
 :func:`sm_append` and the pipeline's :func:`window_ops` both go through it.
 
+The scan compares candidates one by one in blocks, except where hits of a
+periodic target overlap: it then lists the run of hits that follow at the
+target's smallest period as an arithmetic progression, after a few slice
+compares, instead of one Python step per byte.
+
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
 differential-test everything else.
@@ -40,25 +45,100 @@ class TargetMismatchError(ValueError):
     """Two matchers with different targets were combined."""
 
 
+BLOCK = 4096
+"""Candidate positions per block of :func:`make_indices`."""
+
+
 def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int]:
     """All good indices of ``target`` in ``text`` within ``[lo, hi]``.
 
     An empty range (``hi < lo``) yields an empty list, and so does
     ``len(text)``, even for the empty target.  A negative ``lo`` reads
-    as 0.  The scan compares the target's first byte at each candidate
-    position and slices out the whole window only where it matches, the
-    check that Horspool's skip loop is built on; the empty target has no
-    first byte and matches at every candidate.
+    as 0.  The empty target has no first byte and matches at every
+    candidate.
+
+    The scan runs over the candidates in blocks of :data:`BLOCK`.  In a
+    block it compares the target's first byte at each position and slices
+    out the whole window only where that byte matches, the check that
+    Horspool's skip loop is built on.  After a block whose last hit ``h``
+    overlaps the hit before it, the target is periodic, and the scan
+    lists the run of hits that follow ``h`` at its smallest period ``q``
+    (:func:`_period`) without comparing the candidates between them.
+    It grows the stretch after ``h`` in which every
+    byte equals the byte ``q`` before it, with slice compares of doubling,
+    then halving, length, and lists ``h + q, h + 2q, ...`` for every
+    window inside that stretch.  A window in it starts with the same ``q``
+    bytes as the one at ``h`` and has period ``q``, so it is the target.
+    No position skipped between these hits can be one: it lies ``d < q``
+    bytes after a listed hit, within the target's width, and two
+    overlapping hits ``d`` apart give the target the period ``d``, which
+    the smallest period ``q`` rules out (the periodicity argument of
+    Fine and Wilf's lemma).  The comprehension resumes after the last
+    listed hit, or at the block's end if none was listed.  The last block
+    needs no skip: its last hit is the last one in ``[lo, hi]``.
+
+    :data:`BLOCK` is 4096 as a trade-off: aperiodic input pays one Python
+    block step per 4 KiB of candidates, and periodic input compares at
+    most one block of candidates one by one before each run is skipped.
+    The smallest period is computed only after two overlapping hits.
     """
     data = text.data
     tg = target.data
     width = len(tg)
+    lo = max(lo, 0)
     last = min(hi, len(data) - max(width, 1))
     if not width:
-        return list(range(max(lo, 0), last + 1))
+        return list(range(lo, last + 1))
     first = tg[0]
-    return [i for i in range(max(lo, 0), last + 1)
-            if data[i] == first and data[i : i + width] == tg]
+    hits: list[int] = []
+    while lo <= last:
+        # min(lo + BLOCK, last + 1), without the call that short scans would feel
+        end = last + 1 if last - lo < BLOCK else lo + BLOCK
+        block = [i for i in range(lo, end) if data[i] == first and data[i : i + width] == tg]
+        hits += block
+        lo = end
+        if block and lo <= last and len(hits) > 1 and hits[-1] - hits[-2] < width:
+            h, q = hits[-1], _period(tg)
+            runs = (_periodic_end(data, h + width, q, last + width) - width - h) // q
+            if runs:
+                hits += range(h + q, h + q * runs + 1, q)
+                lo = h + q * runs + 1
+    return hits
+
+
+def _period(tg: bytes) -> int:
+    """The smallest period of a non-empty ``tg``: its length less its
+    longest proper border, from the Knuth–Morris–Pratt failure function."""
+    border = [0] * len(tg)
+    k = 0
+    for i in range(1, len(tg)):
+        while k and tg[i] != tg[k]:
+            k = border[k - 1]
+        if tg[i] == tg[k]:
+            k += 1
+        border[i] = k
+    return len(tg) - k
+
+
+def _periodic_end(data: bytes, stop: int, q: int, cap: int) -> int:
+    """Grow ``stop`` while each byte of ``data`` equals the one ``q`` before
+    it, up to ``cap``: by steps of 1, 2, 4, ... bytes, then halving ones,
+    which together cover every length short of the step that failed."""
+    step = 1
+    while stop < cap:
+        nxt = min(stop + step, cap)
+        if data[stop:nxt] != data[stop - q : nxt - q]:
+            break
+        stop = nxt
+        step *= 2
+    else:
+        return stop
+    while step > 1:
+        step //= 2
+        nxt = min(stop + step, cap)
+        if data[stop:nxt] == data[stop - q : nxt - q]:
+            stop = nxt
+    return stop
 
 
 class StringMatcher(Value):

@@ -396,6 +396,13 @@ class TestJsonOutput:
             "mode": "seq",
             "timings_ms": {"seq": report["timings_ms"]["seq"]},
         }
+        # The exact line: the index tuple is written as a JSON array.
+        seq_ms = json.dumps(report["timings_ms"]["seq"])
+        assert out.getvalue() == (
+            f'{{"path": {json.dumps(path)}, "target_length": 3, '
+            f'"indices": [{", ".join(map(str, range(0, 2 * count, 2)))}], '
+            f'"count": {count}, "mode": "seq", "timings_ms": {{"seq": {seq_ms}}}}}\n'
+        )
 
     def test_bench_line_is_one_write(self, sample):
         out = CountingOut()

@@ -1,6 +1,9 @@
+import bisect
+import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -32,9 +35,14 @@ from support import (
     dense_cases,
     is_good_index,
     make_new_indices,
+    period,
     shift_indices,
     spec_append_indices,
 )
+
+
+BLOCKS = [1, 2, 3, matcher.BLOCK]
+"""Block sizes for the scan: small ones reach the periodic skip from every hit."""
 
 
 def full_scan(text, target):
@@ -80,17 +88,21 @@ class TestMakeIndices:
         assert make_indices(bt("ababcabcab"), bt("abcab"), 0, 9) == [2, 5]
         assert make_indices(bt("ababcabcab"), bt("abcab"), 3, 9) == [5]
 
-    @given(any_windows())
-    @example((bt("abc"), EMPTY, -1, 5))  # no first byte: every candidate
-    @example((bt(b"\x80\xff\xff\x00\xff"), bt(b"\xff\x00"), 0, 5))  # high bytes
-    @example((bt("aXaYabc"), bt("abc"), 0, 6))  # first byte matches, tail does not
-    @example((bt("xxab"), bt("ab"), 0, 2))  # a match at the last candidate
-    @example((bt("xxab"), bt("ab"), -3, 9))
-    def test_any_window_equals_naive_match(self, window):
-        # lo < 0, hi < lo, hi past the end, and windows ending in the last m bytes
+    @given(any_windows(), st.sampled_from(BLOCKS))
+    @example((bt("abc"), EMPTY, -1, 5), matcher.BLOCK)  # no first byte: every candidate
+    @example((bt(b"\x80\xff\xff\x00\xff"), bt(b"\xff\x00"), 0, 5), matcher.BLOCK)  # high bytes
+    @example((bt("aXaYabc"), bt("abc"), 0, 6), matcher.BLOCK)  # first byte matches, tail does not
+    @example((bt("xxab"), bt("ab"), 0, 2), matcher.BLOCK)  # a match at the last candidate
+    @example((bt("xxab"), bt("ab"), -3, 9), matcher.BLOCK)
+    @example((bt("abababbababa"), bt("abab"), 0, 11), 2)  # a periodic run broken by one byte
+    @example((bt("aaaaaaaa"), bt("aaa"), 1, 4), 1)  # a run cut short by hi
+    def test_any_window_equals_naive_match(self, window, block):
+        # lo < 0, hi < lo, hi past the end, and windows ending in the last m bytes;
+        # small blocks start the periodic skip after every hit
         text, target, lo, hi = window
         expected = [i for i in naive_match(text, target) if lo <= i <= hi]
-        assert make_indices(text, target, lo, hi) == expected
+        with mock.patch.object(matcher, "BLOCK", block):
+            assert make_indices(text, target, lo, hi) == expected
 
     def test_make_sm_indices_full_scan(self):
         assert full_scan(bt("abababa"), bt("aba")) == [0, 2, 4]
@@ -107,6 +119,62 @@ class TestMakeIndices:
         assert make_indices(text, target, 0, hi) == (
             make_indices(text, target, 0, mid) + make_indices(text, target, mid + 1, hi)
         )
+
+
+class TestPeriod:
+    def test_smallest_period_of_every_short_target(self):
+        # brute force: the least p >= 1 with tg[p:] == tg[:-p], else m
+        for m in range(1, 8):
+            for word in itertools.product(b"abc", repeat=m):
+                tg = bytes(word)
+                assert matcher._period(tg) == period(tg), tg
+
+
+class TestSmallScope:
+    """Every text over ``{a,b}`` of up to ``TEXT_MAX`` bytes, every target of up
+    to 4 bytes and every cut: both windows and their join against
+    ``naive_match``, and the join against the seam spec ``cast + new + shift``.
+    Blocks of 1 and 3 start the periodic skip from every position.  A skip
+    made with a period that is too long first lists a wrong hit on 10 bytes
+    (``abab`` skipped at period 4), so whole texts of up to ``SCAN_MAX``
+    bytes are also scanned, without cuts."""
+
+    TEXT_MAX = 6
+    SCAN_MAX = 10
+
+    def test_windows_and_joins_of_every_small_case(self):
+        targets = [bt(bytes(w)) for m in range(5) for w in itertools.product(b"ab", repeat=m)]
+        texts = [bt(bytes(w)) for n in range(self.SCAN_MAX + 1)
+                 for w in itertools.product(b"ab", repeat=n)]
+        default = matcher.BLOCK
+        for block in (1, 3, default):
+            with mock.patch.object(matcher, "BLOCK", block):
+                for text in texts:
+                    for target in targets:
+                        if len(text) <= self.TEXT_MAX:
+                            self.check(text, target, spec=block == default)
+                        elif block != default:  # one block of these never skips
+                            assert scan_window(text, target, 0, len(text)) == (
+                                0, len(text), naive_match(text, target)), (text, target, block)
+
+    @staticmethod
+    def check(text, target, spec):
+        n, m = len(text), len(target)
+        expected = naive_match(text, target)
+        for cut in range(n + 1):
+            a = scan_window(text, target, 0, cut)
+            b = scan_window(text, target, cut, n)
+            assert a == (0, cut, expected[: bisect.bisect_right(expected, cut - max(m, 1))])
+            assert b == (cut, n, expected[bisect.bisect_left(expected, cut) :])
+            joined = join_windows(text, target, a, b)
+            assert joined == (0, n, expected), (text, target, cut)
+            if spec:
+                left, right = text.take(cut), text.drop(cut)
+                assert joined[2] == (
+                    cast_indices(target, left, right, a[2])
+                    + make_new_indices(left, right, target)
+                    + shift_indices(target, left, right, naive_match(right, target))
+                ), (text, target, cut)
 
 
 class TestOracle:
