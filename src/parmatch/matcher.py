@@ -26,7 +26,11 @@ seam, the ``m - 1`` bytes on each side of the cut.  It is the one merge:
 The scan compares candidates one by one in blocks, except where hits of a
 periodic target overlap: it then lists the run of hits that follow at the
 target's smallest period as an arithmetic progression, after a few slice
-compares, instead of one Python step per byte.
+compares, instead of one Python step per byte.  A window holds its indices
+as *segments*, a list of ascending ``list`` and ``range`` objects: a run
+stays a ``range`` (O(1) to store, shift or pickle) through every join,
+which concatenates segment lists and copies no index.  :func:`_expand`
+lists the segments once, for a matcher's ``indices`` tuple.
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -49,13 +53,16 @@ BLOCK = 4096
 """Candidate positions per block of :func:`make_indices`."""
 
 
-def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int]:
-    """All good indices of ``target`` in ``text`` within ``[lo, hi]``.
+def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
+    """All good indices of ``target`` in ``text`` within ``[lo, hi]``, as
+    segments: a list of ascending runs of indices, each a ``list`` of the
+    candidates the scan compared or a ``range`` of the hits it skipped to.
+    Their concatenation (:func:`_expand`) is the index list.
 
-    An empty range (``hi < lo``) yields an empty list, and so does
+    An empty range (``hi < lo``) lists no index, and neither does
     ``len(text)``, even for the empty target.  A negative ``lo`` reads
     as 0.  The empty target has no first byte and matches at every
-    candidate.
+    candidate: its one segment is ``range(lo, last + 1)``.
 
     The scan runs over the candidates in blocks of :data:`BLOCK`.  In a
     block it compares the target's first byte at each position and slices
@@ -75,7 +82,9 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     the smallest period ``q`` rules out (the periodicity argument of
     Fine and Wilf's lemma).  The comprehension resumes after the last
     listed hit, or at the block's end if none was listed.  The last block
-    needs no skip: its last hit is the last one in ``[lo, hi]``.
+    needs no skip: its last hit is the last one in ``[lo, hi]``.  A block
+    with hits is one ``list`` segment and a skipped run one ``range``, so
+    a periodic run costs O(1) memory until :func:`_expand` lists it.
 
     :data:`BLOCK` is 4096 as a trade-off: aperiodic input pays one Python
     block step per 4 KiB of candidates, and periodic input compares at
@@ -88,22 +97,27 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list[int
     lo = max(lo, 0)
     last = min(hi, len(data) - max(width, 1))
     if not width:
-        return list(range(lo, last + 1))
+        return [range(lo, last + 1)]
     first = tg[0]
-    hits: list[int] = []
+    segments: list = []
+    h = lo - width  # the last hit; none yet, and lo - width overlaps no hit at or after lo
     while lo <= last:
         # min(lo + BLOCK, last + 1), without the call that short scans would feel
         end = last + 1 if last - lo < BLOCK else lo + BLOCK
         block = [i for i in range(lo, end) if data[i] == first and data[i : i + width] == tg]
-        hits += block
         lo = end
-        if block and lo <= last and len(hits) > 1 and hits[-1] - hits[-2] < width:
-            h, q = hits[-1], _period(tg)
-            runs = (_periodic_end(data, h + width, q, last + width) - width - h) // q
-            if runs:
-                hits += range(h + q, h + q * runs + 1, q)
-                lo = h + q * runs + 1
-    return hits
+        if block:
+            segments.append(block)
+            before = block[-2] if len(block) > 1 else h
+            h = block[-1]
+            if lo <= last and h - before < width:
+                q = _period(tg)
+                runs = (_periodic_end(data, h + width, q, last + width) - width - h) // q
+                if runs:
+                    segments.append(range(h + q, h + q * runs + 1, q))
+                    h += q * runs
+                    lo = h + 1
+    return segments
 
 
 def _period(tg: bytes) -> int:
@@ -163,9 +177,10 @@ def sm_empty(target: ByteText) -> StringMatcher:
     return StringMatcher(target, ByteText(), ())
 
 
-def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int, int, list[int]]:
-    """The window ``(lo, hi, indices)``: the good indices of ``target``
-    lying wholly inside ``[lo, hi)`` of ``text``, as absolute offsets.
+def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int, int, list]:
+    """The window ``(lo, hi, segments)``: the good indices of ``target``
+    lying wholly inside ``[lo, hi)`` of ``text``, as absolute offsets, in
+    :func:`make_indices`'s segments.
 
     The one scan rule: an empty target matches at every offset of the
     window but not at ``hi``, and an empty or inverted window lists nothing.
@@ -175,7 +190,7 @@ def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int
 
 def join_windows(
     text: ByteText, target: ByteText, left: tuple, right: tuple
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int, list]:
     """Join adjacent windows ``(lo, mid, a)`` and ``(mid, hi, b)`` of ``text``.
 
     The join keeps ``a`` and ``b`` as they are and adds the matches that
@@ -183,6 +198,9 @@ def join_windows(
     of the ``m - 1`` bytes on each side of the cut, for an ``m``-byte
     target, within ``[lo, hi)``.  It has at most ``m - 1`` start positions,
     and none for ``m <= 1``.  An empty window, at any offset, is the identity.
+    The joined segment list is ``a``'s, the seam's and ``b``'s segment
+    objects in order, the paper's ``is1 ++ isNew ++ is2``: a join copies
+    references to segments, never an index.
     """
     lo, mid, a = left
     start, hi, b = right
@@ -200,8 +218,46 @@ def window_ops(text: ByteText, target: ByteText) -> MonoidOps:
     return MonoidOps(identity=_empty_window, combine=partial(join_windows, text, target))
 
 
-def _empty_window() -> tuple[int, int, list[int]]:
+def _empty_window() -> tuple[int, int, list]:
     return 0, 0, []
+
+
+def _shift(segments: list, offset: int) -> list:
+    """``segments`` with every index moved by ``offset``: a ``range`` in
+    O(1), a list index by index; ``segments`` itself for offset 0."""
+    if not offset:
+        return segments
+    return [range(s.start + offset, s.stop + offset, s.step) if type(s) is range
+            else [i + offset for i in s] for s in segments]
+
+
+def _expand(segments: list) -> list[int]:
+    """The indices that ``segments`` list, in order, as one new list."""
+    indices: list[int] = []
+    for segment in segments:
+        indices += segment
+    return indices
+
+
+def _flatten(segments: list) -> list:
+    """``segments`` as one ``list`` segment, its indices listed now."""
+    return [_expand(segments)]
+
+
+class _Shipped(list):
+    """Segments that pickle as they are and unpickle as :func:`_flatten`'s
+    one ``list`` segment: the receiving process lists the indices as it
+    reads them."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return _flatten, (list(self),)
+
+
+def _matcher(target: ByteText, text: ByteText, segments: list) -> StringMatcher:
+    """The matcher of ``text`` whose indices ``segments`` list."""
+    return StringMatcher(target, text, tuple(_expand(segments)))
 
 
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
@@ -223,11 +279,11 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     target = a.target
     combined = a.text + b.text
     split = len(a.text)
-    shifted = [i + split for i in b.indices]
-    _, _, indices = join_windows(
-        combined, target, (0, split, a.indices), (split, len(combined), shifted)
+    shifted = _shift([b.indices], split)
+    _, _, segments = join_windows(
+        combined, target, (0, split, [a.indices]), (split, len(combined), shifted)
     )
-    return StringMatcher(target, combined, tuple(indices))
+    return _matcher(target, combined, segments)
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
@@ -237,8 +293,8 @@ def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
     at every offset ``0..len(text) - 1`` but not at ``len(text)``, so an
     empty input has no match; ``to_sm_par`` and ``naive_match`` agree.
     """
-    _, _, indices = scan_window(text, target, 0, len(text))
-    return StringMatcher(target, text, tuple(indices))
+    _, _, segments = scan_window(text, target, 0, len(text))
+    return _matcher(target, text, segments)
 
 
 def naive_match(text: ByteText, target: ByteText) -> list[int]:

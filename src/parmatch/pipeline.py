@@ -18,7 +18,9 @@ from functools import partial
 from itertools import zip_longest
 
 from .bytetext import ByteText, Value
-from .matcher import StringMatcher, scan_window, to_sm, window_ops
+from .matcher import (
+    StringMatcher, _flatten, _matcher, _shift, _Shipped, scan_window, to_sm, window_ops
+)
 from .monoid import TYPE_CHECKING, pmap, pmconcat
 
 if TYPE_CHECKING:
@@ -61,31 +63,47 @@ class _Run:
 
     In this process a run refers to the caller's ``text``, so dealing runs
     copies no input byte.  Pickled for a process worker, it carries only
-    its own bytes, rebased to start at 0, and ``base``, the offset they
-    were cut at.  ``lo`` is a multiple of ``size``, so its chunks are the
-    plan's chunks.
+    its own bytes, rebased to start at 0, ``base``, the offset they were
+    cut at, and ``shipped`` set.  ``lo`` is a multiple of ``size``, so its
+    chunks are the plan's chunks.
     """
 
-    __slots__ = ("text", "lo", "hi", "size", "base")
+    __slots__ = ("text", "lo", "hi", "size", "base", "shipped")
 
-    def __init__(self, text: ByteText, lo: int, hi: int, size: int, base: int = 0) -> None:
-        self.text, self.lo, self.hi, self.size, self.base = text, lo, hi, size, base
+    def __init__(
+        self, text: ByteText, lo: int, hi: int, size: int, base: int = 0, shipped: bool = False
+    ) -> None:
+        self.text, self.lo, self.hi, self.size = text, lo, hi, size
+        self.base, self.shipped = base, shipped
 
     def __reduce__(self) -> tuple:
         piece = ByteText(self.text.data[self.lo : self.hi])
-        return _Run, (piece, 0, self.hi - self.lo, self.size, self.base + self.lo)
+        return _Run, (piece, 0, self.hi - self.lo, self.size, self.base + self.lo, True)
 
 
-def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list[int]]:
+def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list]:
     """One map task: scan each chunk of ``run`` on its own, fold the windows
-    inline, and return the run's window with absolute indices."""
+    inline, and return the run's window with absolute indices.
+
+    A shipped run returns the window's segments shifted by ``base`` (a
+    ``range`` in O(1)), so a periodic run travels back as a few ``range``
+    objects, not one pickled int per hit; the caller's process lists them
+    as it unpickles the result, on the pool's result thread.  A run in the
+    caller's process lists its indices in its own task.  So each run
+    window reaches the caller as one ``list`` segment, and the caller's
+    fold and final tuple copy only references.  Listing every run in the
+    caller instead read perfbench's ``dense-ab`` ``seq`` and ``proc``
+    paths at x0.64 and x1.63 of the unsegmented scan, on 2 CPUs, against
+    about x0.86 and x1.9 this way: the caller's int objects then reuse
+    fewer of the process's allocator arenas (ROADMAP item 1, *Allocator
+    state*).
+    """
     text, hi, size, base = run.text, run.hi, run.size, run.base
     windows = [scan_window(text, target, lo, min(lo + size, hi))
                for lo in range(run.lo, hi, size) or (run.lo,)]
-    lo, hi, indices = pmconcat(window_ops(text, target), 2, windows)
-    if base:
-        indices = [i + base for i in indices]
-    return lo + base, hi + base, indices
+    lo, hi, segments = pmconcat(window_ops(text, target), 2, windows)
+    segments = _Shipped(_shift(segments, base)) if run.shipped else _flatten(segments)
+    return lo + base, hi + base, segments
 
 
 def to_sm_par(
@@ -105,16 +123,21 @@ def to_sm_par(
     scans every chunk of its run on its own and folds the windows with
     :func:`~parmatch.matcher.join_windows`, so every chunk seam still goes
     through the one merge.  Inline and thread runs read the caller's
-    buffer; a process task ships one slice, its run's bytes, and its worker
-    returns ``(lo, hi, indices)``, never text.  ``map_pool=None`` is one
-    worker, so the whole chunk list is one run, scanned inline.  The caller
-    folds the run windows inline, as a run folds its chunks: there are at
-    most as many as workers, and each merge tries fewer start positions
-    than the target has bytes, too little work to repay a pool task.  The
-    result wraps the caller's own ``text``.  A pool's worker count is its
-    ``_max_workers`` (CPython's executors keep it there), else the CPUs
-    this process may run on.  ``reduce_pool`` is accepted and unused;
-    perfbench's harness still passes it.
+    buffer and list their indices in their own task.  A process task
+    ships one slice, its run's bytes, and its worker returns ``(lo, hi,
+    segments)``, never text: the run's segments at absolute offsets, so a
+    periodic run comes back as a ``range``, not one pickled int per hit,
+    and is listed as the result is unpickled.  ``map_pool=None`` is one
+    worker, so the whole chunk list is one run, scanned inline.  The
+    caller folds the run windows inline, as a run folds its chunks: there
+    are at most as many as workers, and each merge tries fewer start
+    positions than the target has bytes, too little work to repay a pool
+    task.  The result wraps the caller's own ``text``.  A pool's worker
+    count is its ``_max_workers`` (CPython's executors keep it there),
+    else the CPUs this process may run on.  ``reduce_pool`` is accepted
+    and unused; perfbench's harness still passes it.  The caller's fold
+    joins segment lists, and the one copy into the result's tuple comes
+    last.
     """
     size = plan.chunk_size
     length = len(text)
@@ -124,8 +147,8 @@ def to_sm_par(
     cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    _, _, indices = pmconcat(window_ops(text, target), 2, windows)
-    return StringMatcher(target, text, tuple(indices))
+    _, _, segments = pmconcat(window_ops(text, target), 2, windows)
+    return _matcher(target, text, segments)
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:

@@ -124,6 +124,21 @@ def spec_append_indices(a, b) -> list[int]:
     )
 
 
+def flatten(segments) -> list[int]:
+    """The indices of a window's segments (its lists and ranges), in order.
+
+    Written here, not imported from the library, so that tests comparing
+    windows with ``naive_match`` do not rest on the expansion they check.
+    """
+    return [i for segment in segments for i in segment]
+
+
+def flat_window(window: tuple) -> tuple:
+    """A window ``(lo, hi, segments)`` as ``(lo, hi, indices)``."""
+    lo, hi, segments = window
+    return lo, hi, flatten(segments)
+
+
 def fibonacci_word(length: int) -> bytes:
     """The first ``length`` bytes of the Fibonacci word ``abaababaabaab...``."""
     shorter, word = b"a", b"ab"

@@ -27,7 +27,7 @@ from parmatch import (
 from parmatch.matcher import make_indices
 from parmatch.pipeline import _cpu_count
 
-from support import cast_indices, make_new_indices, shift_indices, spec_append_indices
+from support import cast_indices, flatten, make_new_indices, shift_indices, spec_append_indices
 
 ALPHABETS = {2: b"ab", 4: b"abcd", 256: bytes(range(256))}
 
@@ -248,19 +248,20 @@ def test_lemma_level_properties():
         hi = len(x) - 1
         if hi >= 0:
             mid = rng.randrange(hi + 1)
-            assert make_indices(x, target, 0, hi) == (
-                make_indices(x, target, 0, mid) + make_indices(x, target, mid + 1, hi)
+            assert flatten(make_indices(x, target, 0, hi)) == (
+                flatten(make_indices(x, target, 0, mid))
+                + flatten(make_indices(x, target, mid + 1, hi))
             )
 
         # shiftIndicesRight
         y_hi = len(y) - 1
-        shifted = shift_indices(target, x, y, make_indices(y, target, 0, y_hi))
-        assert shifted == make_indices(combined, target, len(x), len(x) + y_hi)
+        shifted = shift_indices(target, x, y, flatten(make_indices(y, target, 0, y_hi)))
+        assert shifted == flatten(make_indices(combined, target, len(x), len(x) + y_hi))
 
         # mergeNewIndices
-        good = make_indices(x, target, 0, len(x) - 1)
+        good = flatten(make_indices(x, target, 0, len(x) - 1))
         assert good + make_new_indices(x, y, target) == (
-            make_indices(combined, target, 0, len(x) - 1)
+            flatten(make_indices(combined, target, 0, len(x) - 1))
         )
 
         # newIsNull, both sides

@@ -33,6 +33,8 @@ from support import (
     byte_texts,
     cast_indices,
     dense_cases,
+    flat_window,
+    flatten,
     is_good_index,
     make_new_indices,
     period,
@@ -47,7 +49,7 @@ BLOCKS = [1, 2, 3, matcher.BLOCK]
 
 def full_scan(text, target):
     """The paper's ``makeSMIndices``: every good index, ascending."""
-    return make_indices(text, target, 0, len(text) - 1)
+    return flatten(make_indices(text, target, 0, len(text) - 1))
 
 
 @st.composite
@@ -79,14 +81,14 @@ class TestGoodIndex:
 
 class TestMakeIndices:
     def test_spec_example(self):
-        assert make_indices(bt("abababa"), bt("aba"), 0, 6) == [0, 2, 4]
+        assert flatten(make_indices(bt("abababa"), bt("aba"), 0, 6)) == [0, 2, 4]
 
     def test_empty_range(self):
-        assert make_indices(bt("abababa"), bt("aba"), 5, 4) == []
+        assert flatten(make_indices(bt("abababa"), bt("aba"), 5, 4)) == []
 
     def test_window_restricted(self):
-        assert make_indices(bt("ababcabcab"), bt("abcab"), 0, 9) == [2, 5]
-        assert make_indices(bt("ababcabcab"), bt("abcab"), 3, 9) == [5]
+        assert flatten(make_indices(bt("ababcabcab"), bt("abcab"), 0, 9)) == [2, 5]
+        assert flatten(make_indices(bt("ababcabcab"), bt("abcab"), 3, 9)) == [5]
 
     @given(any_windows(), st.sampled_from(BLOCKS))
     @example((bt("abc"), EMPTY, -1, 5), matcher.BLOCK)  # no first byte: every candidate
@@ -102,7 +104,7 @@ class TestMakeIndices:
         text, target, lo, hi = window
         expected = [i for i in naive_match(text, target) if lo <= i <= hi]
         with mock.patch.object(matcher, "BLOCK", block):
-            assert make_indices(text, target, lo, hi) == expected
+            assert flatten(make_indices(text, target, lo, hi)) == expected
 
     def test_make_sm_indices_full_scan(self):
         assert full_scan(bt("abababa"), bt("aba")) == [0, 2, 4]
@@ -116,8 +118,9 @@ class TestMakeIndices:
         if hi < 0:
             return  # lemma needs lo <= mid <= hi
         mid = data.draw(st.integers(0, hi))
-        assert make_indices(text, target, 0, hi) == (
-            make_indices(text, target, 0, mid) + make_indices(text, target, mid + 1, hi)
+        assert flatten(make_indices(text, target, 0, hi)) == (
+            flatten(make_indices(text, target, 0, mid))
+            + flatten(make_indices(text, target, mid + 1, hi))
         )
 
 
@@ -154,7 +157,7 @@ class TestSmallScope:
                         if len(text) <= self.TEXT_MAX:
                             self.check(text, target, spec=block == default)
                         elif block != default:  # one block of these never skips
-                            assert scan_window(text, target, 0, len(text)) == (
+                            assert flat_window(scan_window(text, target, 0, len(text))) == (
                                 0, len(text), naive_match(text, target)), (text, target, block)
 
     @staticmethod
@@ -164,14 +167,15 @@ class TestSmallScope:
         for cut in range(n + 1):
             a = scan_window(text, target, 0, cut)
             b = scan_window(text, target, cut, n)
-            assert a == (0, cut, expected[: bisect.bisect_right(expected, cut - max(m, 1))])
-            assert b == (cut, n, expected[bisect.bisect_left(expected, cut) :])
+            assert flat_window(a) == (
+                0, cut, expected[: bisect.bisect_right(expected, cut - max(m, 1))])
+            assert flat_window(b) == (cut, n, expected[bisect.bisect_left(expected, cut) :])
             joined = join_windows(text, target, a, b)
-            assert joined == (0, n, expected), (text, target, cut)
+            assert flat_window(joined) == (0, n, expected), (text, target, cut)
             if spec:
                 left, right = text.take(cut), text.drop(cut)
-                assert joined[2] == (
-                    cast_indices(target, left, right, a[2])
+                assert flatten(joined[2]) == (
+                    cast_indices(target, left, right, flatten(a[2]))
                     + make_new_indices(left, right, target)
                     + shift_indices(target, left, right, naive_match(right, target))
                 ), (text, target, cut)
@@ -239,16 +243,16 @@ class TestIndexGroups:
     def test_shift_indices_right_lemma(self, case, left):
         right, target = case
         hi = len(right) - 1
-        shifted = shift_indices(target, left, right, make_indices(right, target, 0, hi))
+        shifted = shift_indices(target, left, right, flatten(make_indices(right, target, 0, hi)))
         combined = left + right
-        assert shifted == make_indices(combined, target, len(left), len(left) + hi)
+        assert shifted == flatten(make_indices(combined, target, len(left), len(left) + hi))
 
     @given(dense_cases(max_input=32), byte_texts(alphabet_size=2, max_size=32))
     def test_merge_new_indices_lemma(self, case, right):
         left, target = case
         combined = left + right
         merged = full_scan(left, target) + make_new_indices(left, right, target)
-        assert merged == make_indices(combined, target, 0, len(left) - 1)
+        assert merged == flatten(make_indices(combined, target, 0, len(left) - 1))
 
 
 class TestWindows:
@@ -261,7 +265,7 @@ class TestWindows:
         hi = data.draw(st.integers(lo, len(text)))
         inside = [i for i in naive_match(text, target) if lo <= i and i + len(target) <= hi
                   and i < hi]
-        assert scan_window(text, target, lo, hi) == (lo, hi, inside)
+        assert flat_window(scan_window(text, target, lo, hi)) == (lo, hi, inside)
 
     @given(dense_cases(), st.data())
     def test_join_of_adjacent_windows_scans_their_union(self, case, data):
@@ -270,7 +274,21 @@ class TestWindows:
         lo, mid, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(3))
         joined = join_windows(text, target, scan_window(text, target, lo, mid),
                               scan_window(text, target, mid, hi))
-        assert joined == scan_window(text, target, lo, hi)
+        assert flat_window(joined) == flat_window(scan_window(text, target, lo, hi))
+
+    def test_join_keeps_the_operands_segments(self):
+        # A join copies no index: its segments are the operands' own
+        # objects around the seam's, and a periodic run stays a range.
+        text, target = bt("ab" * 6000), bt("ababa")
+        for mid in (4, 6001, 6002, 11995):
+            a = scan_window(text, target, 0, mid)
+            b = scan_window(text, target, mid, len(text))
+            joined = join_windows(text, target, a, b)
+            assert any(type(segment) is range for segment in a[2] + b[2]), mid
+            assert all(x is y for x, y in zip(joined[2], a[2])), mid
+            assert all(x is y for x, y in zip(reversed(joined[2]), reversed(b[2]))), mid
+            assert len(a[2]) + len(b[2]) <= len(joined[2]) <= len(a[2]) + len(b[2]) + 1, mid
+            assert flatten(joined[2]) == naive_match(text, target), mid
 
     @given(dense_cases(), st.data())
     def test_empty_window_is_the_identity_anywhere(self, case, data):

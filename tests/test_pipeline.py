@@ -22,7 +22,7 @@ from parmatch import pipeline
 from parmatch.matcher import window_ops
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
-from support import bt
+from support import bt, flat_window, flatten
 
 
 class CountingPool(Executor):
@@ -58,11 +58,12 @@ class RunRecorder(Executor):
 class PicklingPool(Executor):
     """Runs each task inline, as a process pool would: the task goes through
     pickle and so does its result.  Keeps the unpickled arguments and the
-    pickled size of each task."""
+    pickled sizes of each task and of each result."""
 
     def __init__(self, workers: int) -> None:
         self._max_workers = workers
         self.shipped = []
+        self.returned = []
         self.args = []
 
     def submit(self, fn, /, *args, **kwargs):
@@ -70,8 +71,10 @@ class PicklingPool(Executor):
         self.shipped.append(len(task))
         fn, args = pickle.loads(task)
         self.args.append(args)
+        result = pickle.dumps(fn(*args, **kwargs))
+        self.returned.append(len(result))
         future = Future()
-        future.set_result(pickle.loads(pickle.dumps(fn(*args, **kwargs))))
+        future.set_result(pickle.loads(result))
         return future
 
 
@@ -204,6 +207,24 @@ class TestDispatch:
         for n in (1024, 4096, 16384):
             assert shipped(2 * n) <= 2.2 * shipped(n), n
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_periodic_runs_return_as_ranges(self, workers):
+        # Deterministic: one chunk per run, so each shipped run returns its
+        # first block of hits as a list and the rest of its run as a range;
+        # its pickled result does not grow with the hits.  From n = 2**16 the
+        # second run's offsets all take pickle's 4-byte int at n and at 2n.
+        def returned(n):
+            text = ByteText(b"ab" * n)
+            pool = PicklingPool(workers)
+            result = to_sm_par(ChunkPlan(2, -(-len(text) // workers)), text, bt("ababa"), pool)
+            assert result == to_sm(text, bt("ababa"))
+            assert len(result.indices) == n - 2
+            assert len(pool.returned) == workers
+            return sum(pool.returned)
+
+        for n in (65536, 131072):
+            assert returned(2 * n) <= 1.1 * returned(n), n
+
     @pytest.mark.parametrize("size", [1, 3, 4, 16])
     def test_pickled_run_scans_like_the_run_in_process(self, size):
         # Runs of whole chunks over a dense text, so matches straddle every
@@ -216,16 +237,20 @@ class TestDispatch:
         for run in runs:
             copy = pickle.loads(pickle.dumps(run))
             assert copy.text.data == run_bytes(run) and copy.base == run.lo
+            assert copy.shipped and not run.shipped
             window = pipeline._scan_run(target, run)
-            assert pipeline._scan_run(target, copy) == window
-            lo, hi, indices = window
+            shipped = pipeline._scan_run(target, copy)
+            assert flat_window(shipped) == flat_window(window)
+            # The receiver lists a shipped run's segments as it unpickles them.
+            assert len(pickle.loads(pickle.dumps(shipped))[2]) == 1
+            lo, hi, indices = flat_window(window)
             assert (lo, hi) == (run.lo, run.hi)
             assert indices == [i for i in naive_match(text, target) if lo <= i <= hi - 4]
             windows.append(window)
         edges = [run.hi for run in runs[:-1]]
         assert any(i < edge < i + 4 for edge in edges for i in naive_match(text, target))
-        _, _, indices = pmconcat(window_ops(text, target), 2, windows)
-        assert tuple(indices) == to_sm(text, target).indices
+        _, _, segments = pmconcat(window_ops(text, target), 2, windows)
+        assert tuple(flatten(segments)) == to_sm(text, target).indices
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
