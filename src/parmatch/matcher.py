@@ -30,7 +30,9 @@ compares, instead of one Python step per byte.  A window holds its indices
 as *segments*, a list of ascending ``list`` and ``range`` objects: a run
 stays a ``range`` (O(1) to store, shift or pickle) through every join,
 which concatenates segment lists and copies no index.  :func:`_expand`
-lists the segments once, for a matcher's ``indices`` tuple.
+lists the segments once, for a matcher's ``indices`` tuple; segments
+pickled from another process (:class:`_Shipped`) are listed instead as
+they are unpickled.
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -240,14 +242,15 @@ def _expand(segments: list) -> list[int]:
 
 
 def _flatten(segments: list) -> list:
-    """``segments`` as one ``list`` segment, its indices listed now."""
+    """``segments`` as one ``list`` segment: :class:`_Shipped`'s unpickler."""
     return [_expand(segments)]
 
 
 class _Shipped(list):
     """Segments that pickle as they are and unpickle as :func:`_flatten`'s
     one ``list`` segment: the receiving process lists the indices as it
-    reads them."""
+    reads them.  In the process that made them they are plain segments,
+    which :func:`_matcher` lists like any others."""
 
     __slots__ = ()
 

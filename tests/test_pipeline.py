@@ -18,7 +18,7 @@ from parmatch import (
     to_sm_par,
     verify_equivalence,
 )
-from parmatch import pipeline
+from parmatch import matcher, pipeline
 from parmatch.matcher import window_ops
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
@@ -237,12 +237,13 @@ class TestDispatch:
         for run in runs:
             copy = pickle.loads(pickle.dumps(run))
             assert copy.text.data == run_bytes(run) and copy.base == run.lo
-            assert copy.shipped and not run.shipped
             window = pipeline._scan_run(target, run)
             shipped = pipeline._scan_run(target, copy)
             assert flat_window(shipped) == flat_window(window)
-            # The receiver lists a shipped run's segments as it unpickles them.
+            # The receiver lists a run's segments as it unpickles them,
+            # whichever process scanned it: both have one result shape.
             assert len(pickle.loads(pickle.dumps(shipped))[2]) == 1
+            assert len(pickle.loads(pickle.dumps(window))[2]) == 1
             lo, hi, indices = flat_window(window)
             assert (lo, hi) == (run.lo, run.hi)
             assert indices == [i for i in naive_match(text, target) if lo <= i <= hi - 4]
@@ -251,6 +252,25 @@ class TestDispatch:
         assert any(i < edge < i + 4 for edge in edges for i in naive_match(text, target))
         _, _, segments = pmconcat(window_ops(text, target), 2, windows)
         assert tuple(flatten(segments)) == to_sm(text, target).indices
+
+    def test_runs_in_process_list_each_index_once(self, monkeypatch):
+        # Inline and thread runs return their segments unlisted, and the
+        # caller lists them once, into the result's tuple.
+        calls = []
+        expand = matcher._expand
+
+        def counting_expand(segments):
+            calls.append(len(segments))
+            return expand(segments)
+
+        monkeypatch.setattr(matcher, "_expand", counting_expand)
+        text, target, plan = ByteText(b"ab" * 4096), bt("ababa"), ChunkPlan(2, 1024)
+        expected = to_sm(text, target)
+        with ThreadPoolExecutor(2) as threads:
+            for pool in (None, threads):
+                calls.clear()
+                assert to_sm_par(plan, text, target, pool) == expected
+                assert len(calls) == 1, pool
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
