@@ -5,14 +5,18 @@ semantics; reported indices are global byte offsets.  ``--mode`` picks
 the run: ``seq``, ``par``, ``both`` (the two checked against each other)
 or ``bench`` (both timed per chunk size).  ``--processes`` scans on a
 process pool, started at the first input of at least ``PAR_MIN_BYTES``
-bytes; smaller inputs scan inline.  Exit status: 0 if any match, 1 if
-none, 2 on usage or I/O errors, 3 when the two paths disagree (a bug),
-130 on Ctrl-C, 141 when stdout's reader goes away.
+bytes; smaller inputs scan inline.  ``--target`` is its argv bytes
+(``os.fsencode``); argparse reports every bad flag.  Exit status: 0 if
+any match, 1 if none, 2 on usage or I/O errors (stdin or stdout closed
+or failing among them), 3 when the two paths disagree (a bug), 130 on
+Ctrl-C, 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 
@@ -66,8 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Report every byte offset where a target occurs in the input.",
     )
     target_group = parser.add_mutually_exclusive_group(required=True)
-    target_group.add_argument("--target", help="target string, matched as its argv bytes")
-    target_group.add_argument("--target-hex", help="target as hex bytes, for binary matching")
+    target_group.add_argument("--target", type=os.fsencode,
+                              help="target string, matched as its argv bytes")
+    target_group.add_argument("--target-hex", dest="target", metavar="HEX", type=bytes.fromhex,
+                              help="target as hex bytes, for binary matching")
     parser.add_argument(
         "--input",
         action="append",
@@ -102,30 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_target(args: argparse.Namespace, err) -> ByteText | None:
-    if args.target_hex is not None:
-        try:
-            raw = bytes.fromhex(args.target_hex)
-        except ValueError:
-            print("error: --target-hex is not valid hex", file=err)
-            return None
-    else:
-        raw = args.target.encode("utf-8", "surrogateescape")  # argv bytes, UTF-8 or not
-    if not raw:
-        print(
-            "error: empty target rejected: every position would match; "
-            "the library defines this case but it is never what a CLI user means",
-            file=err,
-        )
-        return None
-    return ByteText(raw)
-
-
 def _read_input(path: str, err) -> ByteText | None:
-    if path == "-":
-        return ByteText(sys.stdin.buffer.read())
     try:
-        return ByteText.from_file(path)
+        if path != "-":
+            return ByteText.from_file(path)
+        if sys.stdin is None:  # fd 0 was closed when the interpreter started
+            raise OSError(errno.EBADF, "stdin is closed")
+        return ByteText(sys.stdin.buffer.read())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=err)
         return None
@@ -213,21 +202,20 @@ def _write_json(out, obj: dict) -> None:
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if not args.target:
+            parser.error("empty target rejected: every position would match; "
+                         "the library defines this case but it is never what a CLI user means")
+        cpus = _cpu_count()
+        workers = args.threads or cpus
+        if args.processes and workers > cpus:
+            # A process pool may fork every worker at its first task.
+            parser.error(f"--threads {workers} exceeds the CPU count with --processes")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_MATCH
-
-    target = _parse_target(args, err)
-    if target is None:
-        return EXIT_USAGE
-
-    cpus = _cpu_count()
-    workers = args.threads or cpus
-    if args.processes and workers > cpus:
-        # A process pool may fork every worker at its first task.
-        print(f"error: --threads {workers} exceeds the CPU count with --processes", file=err)
-        return EXIT_USAGE
+    target = ByteText(args.target)
 
     pool = None
     try:
@@ -285,19 +273,30 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    if sys.stderr is None:  # fd 2 closed at start: print(file=None) would write to stdout
+        sys.stderr = open(os.devnull, "w")
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "stdout is closed")
         status = run()
-        # Flush inside the try, so a reader that has gone away is seen here.
+        # Flush inside the try, so a failed write is seen here.
         sys.stdout.flush()
     except KeyboardInterrupt:
         # run's finally has already shut the pool down.
         sys.exit(EXIT_INTERRUPT)
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at exit; point it at devnull
-        # so that flush cannot raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(EXIT_BROKEN_PIPE)
+    except OSError as exc:
+        # A stream or a worker's fork failed.  A reader that went away ends quietly.
+        if not isinstance(exc, BrokenPipeError):
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                # Keep what was written unless this stream is what failed, then point
+                # it at devnull: the interpreter flushes it again at exit.
+                with contextlib.suppress(OSError):
+                    stream.flush()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_USAGE)
     sys.exit(status)
 
 

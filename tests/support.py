@@ -14,6 +14,7 @@ indices, moved past the left input).  The library has one merge,
 """
 
 import io
+import os
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -200,7 +201,7 @@ def _cli_indices(text: ByteText, target: ByteText, plan: ChunkPlan) -> tuple | N
     when the exit status disagrees with them.  The target goes in as argv
     would pass its bytes, as a string with lone surrogates for non-UTF-8."""
     out = io.StringIO()
-    argv_target = target.data.decode("utf-8", "surrogateescape")
+    argv_target = os.fsdecode(target.data)
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "input").write_bytes(text.data)
         status = cli.run([f"--target={argv_target}", "--input", str(Path(tmp, "input")),

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import multiprocessing
@@ -37,6 +38,14 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def buffered_child_env():
+    """``child_env`` without PYTHONUNBUFFERED, so the child buffers stdout
+    as it does under a plain shell."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     return env
 
 
@@ -182,6 +191,43 @@ class TestMain:
         child.stderr.close()
         assert status == cli.EXIT_BROKEN_PIPE == 141
         assert b"Traceback" not in stderr, stderr.decode(errors="replace")
+
+    @pytest.mark.parametrize("close, stdout, expected", [
+        (0, os.devnull, "error: cannot read -: "),
+        (1, os.devnull, f"[Errno {errno.EBADF}]"),
+        (None, "/dev/full", os.strerror(errno.ENOSPC)),
+    ], ids=["stdin-closed", "stdout-closed", "stdout-full"])
+    def test_stream_failure_exits_two_with_one_error_line(self, sample, close, stdout, expected):
+        # Status 1 means "no match", so a failed stream must not end with it.
+        if not os.path.exists(stdout):
+            pytest.skip(f"no {stdout} on this platform")
+        argv = ["--target", "a"] + ([] if close == 0 else ["--input", sample])
+        with open(stdout, "wb") as sink:
+            child = subprocess.run(
+                [sys.executable, "-m", "parmatch.cli", *argv], env=buffered_child_env(),
+                stdout=sink, stderr=subprocess.PIPE, timeout=60,
+                preexec_fn=None if close is None else lambda: os.close(close),
+            )
+        err = child.stderr.decode(errors="replace")
+        assert child.returncode == cli.EXIT_USAGE, err
+        assert err.count("error:") == 1 and "Traceback" not in err, err
+        assert expected in err
+
+    @pytest.mark.parametrize("stderr", [None, "/dev/full"], ids=["stderr-closed", "stderr-full"])
+    def test_failing_stderr_leaves_stdout_to_indices(self, sample, stderr):
+        # With fd 2 closed, sys.stderr is None, and print(file=None) writes to
+        # stdout.  With stderr full, the indices already written stay.
+        if stderr is not None and not os.path.exists(stderr):
+            pytest.skip(f"no {stderr} on this platform")
+        with open(stderr or os.devnull, "wb") as sink:
+            child = subprocess.run(
+                [sys.executable, "-m", "parmatch.cli", "--target", "a", "--input", sample,
+                 "--input", "/nonexistent/nope"],
+                env=buffered_child_env(), stdout=subprocess.PIPE, stderr=sink, timeout=60,
+                preexec_fn=None if stderr else lambda: os.close(2),
+            )
+        assert child.returncode == cli.EXIT_USAGE
+        assert child.stdout.splitlines() == [b"0", b"2", b"4", b"6"]
 
     @pytest.mark.parametrize(
         "flags, raises_in_parent",
@@ -448,17 +494,17 @@ class TestBinaryTargets:
         status, out, _ = invoke(["--target", "\udcff", "--input", str(path)])
         assert (status, out) == (cli.EXIT_MATCH, "1\n")
 
-    def test_invalid_hex(self, sample):
-        status, _, err = invoke(["--target-hex", "zz", "--input", sample])
+    def test_invalid_hex(self, sample, capsys):
+        status, _, _ = invoke(["--target-hex", "zz", "--input", sample])
         assert status == cli.EXIT_USAGE
-        assert "hex" in err
+        assert "hex" in capsys.readouterr().err
 
 
 class TestUsageErrors:
-    def test_empty_target_rejected(self, sample):
-        status, _, err = invoke(["--target", "", "--input", sample])
+    def test_empty_target_rejected(self, sample, capsys):
+        status, _, _ = invoke(["--target", "", "--input", sample])
         assert status == cli.EXIT_USAGE
-        assert "empty target" in err
+        assert "empty target" in capsys.readouterr().err
 
     def test_missing_target_flag(self, sample):
         assert invoke(["--input", sample])[0] == cli.EXIT_USAGE
@@ -497,13 +543,14 @@ class TestUsageErrors:
             assert (status, out) == (cli.EXIT_USAGE, "")
             assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
-    def test_processes_beyond_cpu_count_rejected(self, sample, pool_log):
+    def test_processes_beyond_cpu_count_rejected(self, sample, pool_log, capsys):
         # A process pool may fork all its workers at once, so this must fail
         # before any pool starts, and before any input is read, whatever its
         # size.  Without --processes the value only sizes chunks.
         flags = ["--target", "aba", "--input", sample, "--mode", "par",
                  "--threads", str(pipeline._cpu_count() + 1)]
-        status, out, err = invoke([*flags, "--processes"])
+        status, out, _ = invoke([*flags, "--processes"])
+        err = capsys.readouterr().err
         assert status == cli.EXIT_USAGE
         assert "--threads" in err and "CPU count" in err
         assert out == ""
@@ -707,9 +754,10 @@ class TestCpuCount:
     def one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
-    def test_processes_beyond_affinity_rejected(self, sample, pool_log):
-        status, out, err = invoke(["--target", "aba", "--input", sample, "--mode", "par",
-                                   "--processes", "--threads", "2"])
+    def test_processes_beyond_affinity_rejected(self, sample, pool_log, capsys):
+        status, out, _ = invoke(["--target", "aba", "--input", sample, "--mode", "par",
+                                 "--processes", "--threads", "2"])
+        err = capsys.readouterr().err
         assert status == cli.EXIT_USAGE
         assert "--threads 2" in err and "CPU count" in err
         assert (out, pool_log) == ("", [])
