@@ -26,13 +26,13 @@ seam, the ``m - 1`` bytes on each side of the cut.  It is the one merge:
 The scan compares candidates one by one in blocks, except where hits of a
 periodic target overlap: it then lists the run of hits that follow at the
 target's smallest period as an arithmetic progression, after a few slice
-compares, instead of one Python step per byte.  A window holds its indices
-as *segments*, a list of ascending ``list`` and ``range`` objects: a run
-stays a ``range`` (O(1) to store, shift or pickle) through every join,
-which concatenates segment lists and copies no index.  :func:`_expand`
-lists the segments once, for a matcher's ``indices`` tuple; segments
-pickled from another process (:class:`_Shipped`) are listed instead as
-they are unpickled.
+compares, instead of one Python step per byte.  A window ``(lo, hi,
+segments)`` holds its indices as *segments*, a list of ascending ``list``
+and ``range`` objects: a run stays a ``range`` (O(1) to store, shift or
+pickle) through every join, which concatenates segment lists and copies
+no index.  Only this module reads segments.  :func:`ship` moves a window
+into the form a map task returns, and :func:`window_matcher` lists a
+window's segments once, into a matcher's ``indices`` tuple.
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -195,28 +195,30 @@ def join_windows(
 ) -> tuple[int, int, list]:
     """Join adjacent windows ``(lo, mid, a)`` and ``(mid, hi, b)`` of ``text``.
 
+    The windows must be adjacent: ``right`` starts where ``left`` ends.
     The join keeps ``a`` and ``b`` as they are and adds the matches that
     straddle ``mid``, which are exactly the matches of the seam: the window
     of the ``m - 1`` bytes on each side of the cut, for an ``m``-byte
     target, within ``[lo, hi)``.  It has at most ``m - 1`` start positions,
-    and none for ``m <= 1``.  An empty window, at any offset, is the identity.
-    The joined segment list is ``a``'s, the seam's and ``b``'s segment
-    objects in order, the paper's ``is1 ++ isNew ++ is2``: a join copies
-    references to segments, never an index.
+    and none for ``m <= 1``.  Next to an empty operand the seam is shorter
+    than the target, or inverted for the empty target, so it lists nothing
+    (the paper's ``newIsNullLeft`` and ``newIsNullRight``) and the other
+    operand keeps its bounds and indices.  The joined segment list is
+    ``a``'s, the seam's and ``b``'s segment objects in order, the paper's
+    ``is1 ++ isNew ++ is2``: a join copies references to segments, never
+    an index.
     """
     lo, mid, a = left
-    start, hi, b = right
-    if lo == mid:
-        return right
-    if start == hi:
-        return left
+    _, hi, b = right
     m = len(target)
     _, _, seam = scan_window(text, target, max(lo, mid - m + 1), min(hi, mid + m - 1))
     return lo, hi, [*a, *seam, *b]
 
 
 def window_ops(text: ByteText, target: ByteText) -> MonoidOps:
-    """Adjacent windows of ``text`` as a monoid; identity is the empty window."""
+    """Windows of ``text`` under :func:`join_windows`, which joins only
+    adjacent ones: a category, not a monoid.  ``identity`` is the fold of
+    no windows."""
     return MonoidOps(identity=_empty_window, combine=partial(join_windows, text, target))
 
 
@@ -247,10 +249,7 @@ def _flatten(segments: list) -> list:
 
 
 class _Shipped(list):
-    """Segments that pickle as they are and unpickle as :func:`_flatten`'s
-    one ``list`` segment: the receiving process lists the indices as it
-    reads them.  In the process that made them they are plain segments,
-    which :func:`_matcher` lists like any others."""
+    """Segments that unpickle as :func:`_flatten`'s one ``list`` segment."""
 
     __slots__ = ()
 
@@ -258,9 +257,23 @@ class _Shipped(list):
         return _flatten, (list(self),)
 
 
-def _matcher(target: ByteText, text: ByteText, segments: list) -> StringMatcher:
-    """The matcher of ``text`` whose indices ``segments`` list."""
-    return StringMatcher(target, text, tuple(_expand(segments)))
+def ship(window: tuple, base: int) -> tuple[int, int, list]:
+    """``window`` moved by ``base``, in the form every map task returns.
+
+    Its segments move as :func:`_shift` moves them, a ``range`` in O(1),
+    and travel as :class:`_Shipped`: pickled, they go as they are, so a
+    periodic run crosses a process pipe as a ``range``, not one int per
+    hit, and the receiving process lists them as it unpickles them.  In
+    the process that made them they stay plain segments, which
+    :func:`window_matcher` lists like any others.
+    """
+    lo, hi, segments = window
+    return lo + base, hi + base, _Shipped(_shift(segments, base))
+
+
+def window_matcher(target: ByteText, text: ByteText, window: tuple) -> StringMatcher:
+    """The matcher of ``text`` whose indices ``window`` lists, each listed once."""
+    return StringMatcher(target, text, tuple(_expand(window[2])))
 
 
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
@@ -283,10 +296,10 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     combined = a.text + b.text
     split = len(a.text)
     shifted = _shift([b.indices], split)
-    _, _, segments = join_windows(
+    joined = join_windows(
         combined, target, (0, split, [a.indices]), (split, len(combined), shifted)
     )
-    return _matcher(target, combined, segments)
+    return window_matcher(target, combined, joined)
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
@@ -296,8 +309,7 @@ def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
     at every offset ``0..len(text) - 1`` but not at ``len(text)``, so an
     empty input has no match; ``to_sm_par`` and ``naive_match`` agree.
     """
-    _, _, segments = scan_window(text, target, 0, len(text))
-    return _matcher(target, text, segments)
+    return window_matcher(target, text, scan_window(text, target, 0, len(text)))
 
 
 def naive_match(text: ByteText, target: ByteText) -> list[int]:

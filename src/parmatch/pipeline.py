@@ -18,9 +18,7 @@ from functools import partial
 from itertools import zip_longest
 
 from .bytetext import ByteText, Value
-from .matcher import (
-    StringMatcher, _matcher, _shift, _Shipped, scan_window, to_sm, window_ops
-)
+from .matcher import StringMatcher, scan_window, ship, to_sm, window_matcher, window_ops
 from .monoid import TYPE_CHECKING, pmap, pmconcat
 
 if TYPE_CHECKING:
@@ -32,7 +30,7 @@ class ChunkPlan(Value):
 
     ``chunk_size`` is the byte length of the windows scanned on their own.
     ``branch``, a fan-in, is not read by :func:`to_sm_par`, whose merges
-    all run inline; it is kept because callers still build plans with it.
+    all run inline; callers build plans with it.
     Both are ints >= 1.
     """
 
@@ -80,21 +78,13 @@ class _Run:
 
 def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list]:
     """One map task: scan each chunk of ``run`` on its own, fold the windows
-    inline, and return the run's window with absolute indices.
-
-    Every run returns its window's segments shifted by ``base`` (a
-    ``range`` in O(1)), as :class:`~parmatch.matcher._Shipped`.  In the
-    caller's process they stay ``list`` and ``range`` segments, and
-    ``_matcher`` lists each index once, into the result's tuple.  From a
-    process worker a periodic run travels back as a few ``range``
-    objects, not one pickled int per hit, and is listed as the caller's
-    process unpickles it, on the pool's result thread.
+    inline, and return the run's window moved by ``base`` to absolute
+    offsets, in :func:`~parmatch.matcher.ship`'s form.
     """
-    text, hi, size, base = run.text, run.hi, run.size, run.base
+    text, hi, size = run.text, run.hi, run.size
     windows = [scan_window(text, target, lo, min(lo + size, hi))
                for lo in range(run.lo, hi, size) or (run.lo,)]
-    lo, hi, segments = pmconcat(window_ops(text, target), 2, windows)
-    return lo + base, hi + base, _Shipped(_shift(segments, base))
+    return ship(pmconcat(window_ops(text, target), 2, windows), run.base)
 
 
 def to_sm_par(
@@ -112,23 +102,18 @@ def to_sm_par(
     chunks per worker of ``map_pool`` (never more runs than chunks; run
     lengths differ by at most one chunk).  Each run is one task: the worker
     scans every chunk of its run on its own and folds the windows with
-    :func:`~parmatch.matcher.join_windows`, so every chunk seam still goes
-    through the one merge.  Every run returns ``(lo, hi, segments)``,
-    never text: the run's segments at absolute offsets.  Inline and
-    thread runs read the caller's buffer, and their segments reach the
-    caller as they are.  A process task ships one slice, its run's bytes;
-    a periodic run comes back as a ``range``, not one pickled int per
-    hit, and is listed as the result is unpickled.  ``map_pool=None`` is one
-    worker, so the whole chunk list is one run, scanned inline.  The
-    caller folds the run windows inline, as a run folds its chunks: there
-    are at most as many as workers, and each merge tries fewer start
-    positions than the target has bytes, too little work to repay a pool
-    task.  The result wraps the caller's own ``text``.  A pool's worker
-    count is its ``_max_workers`` (CPython's executors keep it there),
-    else the CPUs this process may run on.  ``reduce_pool`` is accepted
-    and unused; perfbench's harness still passes it.  The caller's fold
-    joins segment lists, and last ``_matcher`` lists each index once,
-    into the result's tuple.
+    :func:`~parmatch.matcher.join_windows`, so every chunk seam goes
+    through the one merge.  Every run returns its window, never text, as
+    :func:`~parmatch.matcher.ship` describes.  Inline and thread runs read
+    the caller's buffer; a process task ships one slice, its run's bytes.
+    ``map_pool=None`` is one worker, so the whole chunk list is one run,
+    scanned inline.  The caller folds the run windows inline, as a run
+    folds its chunks: there are at most as many as workers, and each merge
+    tries fewer start positions than the target has bytes, too little
+    work to repay a pool task.  The result wraps the caller's own
+    ``text``.  A pool's worker count is its ``_max_workers`` (CPython's
+    executors keep it there), else the CPUs this process may run on.
+    ``reduce_pool`` is accepted and unused; perfbench's harness passes it.
     """
     size = plan.chunk_size
     length = len(text)
@@ -138,8 +123,7 @@ def to_sm_par(
     cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    _, _, segments = pmconcat(window_ops(text, target), 2, windows)
-    return _matcher(target, text, segments)
+    return window_matcher(target, text, pmconcat(window_ops(text, target), 2, windows))
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:

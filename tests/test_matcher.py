@@ -3,10 +3,11 @@ import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parmatch import (
     ByteText,
@@ -24,7 +25,7 @@ from parmatch import (
     to_sm_witness,
 )
 from parmatch import matcher
-from parmatch.matcher import join_windows, make_indices, scan_window, window_ops
+from parmatch.matcher import join_windows, make_indices, scan_window
 
 from support import (
     EMPTY,
@@ -291,15 +292,28 @@ class TestWindows:
             assert flatten(joined[2]) == naive_match(text, target), mid
 
     @given(dense_cases(), st.data())
-    def test_empty_window_is_the_identity_anywhere(self, case, data):
+    def test_an_adjacent_empty_window_leaves_a_window_unchanged(self, case, data):
+        # The paper's newIsNullLeft and newIsNullRight: the seam next to an
+        # empty operand is shorter than the target, or inverted for the
+        # empty target, so it lists nothing.
         text, target = case
-        assume(text)
-        ops = window_ops(text, target)
-        lo = data.draw(st.integers(0, len(text) - 1))
-        hi = data.draw(st.integers(lo + 1, len(text)))
+        lo, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(2))
         window = scan_window(text, target, lo, hi)
-        assert ops.combine(ops.identity(), window) == window
-        assert ops.combine(window, ops.identity()) == window
+        before, after = (lo, lo, []), (hi, hi, [])
+        assert flat_window(join_windows(text, target, before, window)) == flat_window(window)
+        assert flat_window(join_windows(text, target, window, after)) == flat_window(window)
+
+    @given(dense_cases(), st.data())
+    def test_joins_of_adjacent_triples_associate(self, case, data):
+        # Only adjacent windows join, so windows form a category: both
+        # groupings of [a, b), [b, c), [c, d) list the scan of [a, d).
+        text, target = case
+        a, b, c, d = sorted(data.draw(st.integers(0, len(text))) for _ in range(4))
+        x, y, z = (scan_window(text, target, lo, hi) for lo, hi in ((a, b), (b, c), (c, d)))
+        join = partial(join_windows, text, target)
+        expected = flat_window(scan_window(text, target, a, d))
+        assert flat_window(join(join(x, y), z)) == expected
+        assert flat_window(join(x, join(y, z))) == expected
 
 
 class TestOneScan:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -283,6 +284,19 @@ class TestDispatch:
                 before = pool.submits
                 assert verify_equivalence(text, target, [plan], pool).ok
                 assert pool.submits - before <= workers, plan
+
+
+class TestBoundary:
+    def test_pipeline_imports_no_private_matcher_name(self):
+        # Only matcher knows what a segment is: pipeline ships windows and
+        # lists them into matchers through matcher's public operations.
+        with open(pipeline.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module == "matcher" for alias in node.names]
+        assert names
+        assert [name for name in names if name.startswith("_")] == []
 
 
 class TestCpuCount:
