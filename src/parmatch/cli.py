@@ -8,8 +8,9 @@ process pool, started at the first input of at least ``PAR_MIN_BYTES``
 bytes; smaller inputs scan inline.  ``--target`` is its argv bytes
 (``os.fsencode``); argparse reports every bad flag.  Exit status: 0 if
 any match, 1 if none, 2 on usage or I/O errors (stdin or stdout closed
-or failing among them), 3 when the two paths disagree (a bug), 130 on
-Ctrl-C, 141 when stdout's reader goes away.
+or failing among them), a process-pool worker that died, exhausted memory
+or any other crash (which alone keeps its traceback), 3 when the two paths
+disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -297,6 +298,22 @@ def main() -> None:
                     stream.flush()
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         sys.exit(EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_USAGE)
+    except Exception as exc:
+        # A crash is never "no match".  run's finally has already shut the
+        # pool down.  A dead worker or exhausted memory is one error line;
+        # anything else is a bug, and keeps its traceback for the report.
+        # concurrent.futures is loaded by every pool, so only look it up.
+        futures = sys.modules.get("concurrent.futures")
+        known = (MemoryError, futures.BrokenExecutor) if futures else MemoryError
+        with contextlib.suppress(OSError):
+            if isinstance(exc, known):
+                print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            else:
+                # Imported here: only a bug prints a traceback.
+                import traceback
+
+                traceback.print_exc()
+        sys.exit(EXIT_USAGE)
     sys.exit(status)
 
 

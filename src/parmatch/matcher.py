@@ -61,10 +61,11 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     candidates the scan compared or a ``range`` of the hits it skipped to.
     Their concatenation (:func:`_expand`) is the index list.
 
-    An empty range (``hi < lo``) lists no index, and neither does
-    ``len(text)``, even for the empty target.  A negative ``lo`` reads
-    as 0.  The empty target has no first byte and matches at every
-    candidate: its one segment is ``range(lo, last + 1)``.
+    An empty range (``hi < lo``) lists no index and no segment, and
+    ``len(text)`` is no index, even for the empty target.  A negative
+    ``lo`` reads as 0.  The empty target has no first byte and matches at
+    every candidate: a non-empty range of candidates is its one segment,
+    ``range(lo, last + 1)``, and an empty one gives ``[]``.
 
     The scan runs over the candidates in blocks of :data:`BLOCK`.  In a
     block it compares the target's first byte at each position and slices
@@ -99,7 +100,7 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     lo = max(lo, 0)
     last = min(hi, len(data) - max(width, 1))
     if not width:
-        return [range(lo, last + 1)]
+        return [range(lo, last + 1)] if lo <= last else []
     first = tg[0]
     segments: list = []
     h = lo - width  # the last hit; none yet, and lo - width overlaps no hit at or after lo
@@ -201,12 +202,12 @@ def join_windows(
     of the ``m - 1`` bytes on each side of the cut, for an ``m``-byte
     target, within ``[lo, hi)``.  It has at most ``m - 1`` start positions,
     and none for ``m <= 1``.  Next to an empty operand the seam is shorter
-    than the target, or inverted for the empty target, so it lists nothing
-    (the paper's ``newIsNullLeft`` and ``newIsNullRight``) and the other
-    operand keeps its bounds and indices.  The joined segment list is
-    ``a``'s, the seam's and ``b``'s segment objects in order, the paper's
-    ``is1 ++ isNew ++ is2``: a join copies references to segments, never
-    an index.
+    than the target, or inverted for the empty target, so it adds no
+    segment (the paper's ``newIsNullLeft`` and ``newIsNullRight``, where
+    ``isNew`` is the empty list) and the other operand keeps its bounds
+    and segments.  The joined segment list is ``a``'s, the seam's and
+    ``b``'s segment objects in order, the paper's ``is1 ++ isNew ++
+    is2``: a join copies references to segments, never an index.
     """
     lo, mid, a = left
     _, hi, b = right
@@ -218,11 +219,13 @@ def join_windows(
 def window_ops(text: ByteText, target: ByteText) -> MonoidOps:
     """Windows of ``text`` under :func:`join_windows`, which joins only
     adjacent ones: a category, not a monoid.  ``identity`` is the fold of
-    no windows."""
+    no windows, and so the window of an empty input, which the pipeline
+    deals no run."""
     return MonoidOps(identity=_empty_window, combine=partial(join_windows, text, target))
 
 
 def _empty_window() -> tuple[int, int, list]:
+    """The identity: an empty input's window, holding no segment."""
     return 0, 0, []
 
 

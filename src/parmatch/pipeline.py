@@ -2,12 +2,13 @@
 
 :func:`to_sm_par` is the production path.  It never copies the input: a
 chunk is a window ``[lo, hi)`` of the caller's buffer, the chunks are
-dealt as one run per worker (one run when inline), each worker scans and
-folds the windows of its run in parallel, and the caller folds the run
-windows.  Indices are absolute offsets into the buffer, so no merge
-shifts them.  It equals the sequential :func:`~parmatch.matcher.to_sm`
-for every plan, and :func:`verify_equivalence` checks that as a
-differential test with timings.
+dealt as one run per worker (one run when inline, none for an empty
+input), each worker scans and folds the windows of its run in parallel,
+and the caller folds the run windows.  Indices are absolute offsets into
+the buffer, so no merge shifts them.  It equals the sequential
+:func:`~parmatch.matcher.to_sm` for every plan, and
+:func:`verify_equivalence` checks that as a differential test with
+timings.
 """
 
 from __future__ import annotations
@@ -100,8 +101,11 @@ def to_sm_par(
     the caller's buffer, ``plan.chunk_size`` bytes long (the last may be
     shorter), and the chunk list is dealt as one contiguous run of whole
     chunks per worker of ``map_pool`` (never more runs than chunks; run
-    lengths differ by at most one chunk).  Each run is one task: the worker
-    scans every chunk of its run on its own and folds the windows with
+    lengths differ by at most one chunk).  An empty input has no chunk,
+    so it deals no run and sends no task, inline or to a pool: its result
+    is the fold of no windows, :func:`~parmatch.matcher.window_ops`'s
+    identity.  Each run is one task: the worker scans every chunk of its
+    run on its own and folds the windows with
     :func:`~parmatch.matcher.join_windows`, so every chunk seam goes
     through the one merge.  Every run returns its window, never text, as
     :func:`~parmatch.matcher.ship` describes.  Inline and thread runs read
@@ -117,10 +121,10 @@ def to_sm_par(
     """
     size = plan.chunk_size
     length = len(text)
-    n = max(-(-length // size), 1)
+    n = -(-length // size)
     workers = 1 if map_pool is None else getattr(map_pool, "_max_workers", None) or _cpu_count()
     runs = min(workers, n)
-    cuts = [min(k * n // runs * size, length) for k in range(runs + 1)]
+    cuts = [k * n // runs * size for k in range(runs)] + [length]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
     return window_matcher(target, text, pmconcat(window_ops(text, target), 2, windows))

@@ -7,6 +7,9 @@ import signal
 import subprocess
 import sys
 import threading
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.thread import BrokenThreadPool
 from pathlib import Path
 
 import pytest
@@ -340,6 +343,79 @@ class TestMain:
         assert child.returncode == cli.EXIT_INTERRUPT, err.decode(errors="replace")
         assert out == b""
         assert err == b"", err.decode(errors="replace")
+
+    @pytest.mark.parametrize("error, message", [
+        (BrokenProcessPool, "error: worker died"),
+        (BrokenThreadPool, "error: worker died"),
+        (MemoryError, "error: MemoryError"),
+        (RuntimeError, "Traceback"),
+    ], ids=["broken-process-pool", "broken-thread-pool", "memory", "bug"])
+    def test_crash_exits_two_after_the_pool_shuts_down(self, sample, monkeypatch, capfd,
+                                                       error, message):
+        # Status 1 means "no match", so a crash must not end with it.  A dead
+        # worker or exhausted memory is one error line; any other exception
+        # is a bug and keeps its traceback.
+        pools = []
+
+        class FailingPool(Executor):
+            _max_workers = 2
+            shut_down = False
+
+            def submit(self, fn, /, *args, **kwargs):
+                future = Future()
+                future.set_exception(error() if error is MemoryError else error("worker died"))
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.shut_down = True
+
+        def make(workers):
+            pools.append(FailingPool())
+            return pools[-1]
+
+        monkeypatch.setattr(cli, "_make_pool", make)
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
+        monkeypatch.setattr(cli.sys, "argv", ["parmatch", "--target", "aba", "--input", sample,
+                                              "--mode", "par", "--processes", "--threads", "2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == cli.EXIT_USAGE == 2
+        assert [pool.shut_down for pool in pools] == [True]
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == (error is not RuntimeError), captured.err
+        assert message in captured.err
+        assert ("Traceback" in captured.err) == (error is RuntimeError), captured.err
+
+    def test_killed_worker_exits_two_with_one_error_line(self, tmp_path):
+        # A sitecustomize module on the child's path replaces the scan task
+        # with one that kills the worker running it.  The input is just large
+        # enough to scan on the process pool.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os\n"
+            "from parmatch import pipeline\n"
+            "real = pipeline._scan_run\n"
+            "def _scan_run(target, run):\n"
+            "    import multiprocessing\n"
+            "    if multiprocessing.parent_process() is not None:\n"
+            "        os._exit(1)\n"
+            "    return real(target, run)\n"
+            "pipeline._scan_run = _scan_run\n"
+        )
+        path = tmp_path / "large.txt"
+        path.write_bytes(b"a" * cli.PAR_MIN_BYTES)
+        env = child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+        child = subprocess.run(
+            [sys.executable, "-m", "parmatch.cli", "--target", "aba", "--input", str(path),
+             "--mode", "par", "--processes", "--threads", "2"],
+            env=env, capture_output=True, timeout=60,
+        )
+        err = child.stderr.decode(errors="replace")
+        assert child.returncode == cli.EXIT_USAGE, err
+        assert child.stdout == b""
+        assert err.count("error:") == 1 and "Traceback" not in err, err
+        assert "terminated abruptly" in err, err
 
     @pytest.mark.parametrize(
         "flags, loaded",

@@ -138,6 +138,7 @@ class TestSmallScope:
     """Every text over ``{a,b}`` of up to ``TEXT_MAX`` bytes, every target of up
     to 4 bytes and every cut: both windows and their join against
     ``naive_match``, and the join against the seam spec ``cast + new + shift``.
+    No window or join holds an empty segment.
     Blocks of 1 and 3 start the periodic skip from every position.  A skip
     made with a period that is too long first lists a wrong hit on 10 bytes
     (``abab`` skipped at period 4), so whole texts of up to ``SCAN_MAX``
@@ -173,6 +174,8 @@ class TestSmallScope:
             assert flat_window(b) == (cut, n, expected[bisect.bisect_left(expected, cut) :])
             joined = join_windows(text, target, a, b)
             assert flat_window(joined) == (0, n, expected), (text, target, cut)
+            # An empty window or seam adds no segment, for the empty target too.
+            assert all(len(s) for w in (a, b, joined) for s in w[2]), (text, target, cut)
             if spec:
                 left, right = text.take(cut), text.drop(cut)
                 assert flatten(joined[2]) == (

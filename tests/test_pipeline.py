@@ -131,6 +131,25 @@ class TestDispatch:
         assert 1 <= pool.submits <= workers
         assert result == to_sm(text, target)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_empty_input_sends_no_task(self, workers, monkeypatch):
+        # The empty input deals no run, so no task is sent inline or to a
+        # pool, and its result is the fold of no windows, the identity.
+        text, target = ByteText(b""), bt("aba")
+        sequential = to_sm(text, target)
+        with ThreadPoolExecutor(max_workers=workers) as inner:
+            for plan in default_plan_sweep(len(target)):
+                threads, processes = CountingPool(inner), PicklingPool(workers)
+                for pool in (threads, processes):
+                    assert to_sm_par(plan, text, target, pool) == sequential, (plan, pool)
+                assert threads.submits == 0, plan
+                assert processes.shipped == [] and processes.returned == [], plan
+        scans = []
+        monkeypatch.setattr(pipeline, "_scan_run", lambda target, run: scans.append(run))
+        for plan in default_plan_sweep(len(target)):
+            assert to_sm_par(plan, text, target) == sequential, plan
+        assert scans == []
+
     @pytest.mark.parametrize("branch", range(1, 9))
     def test_reduce_pool_gets_no_task(self, branch):
         # perfbench's harness passes a thread pool as reduce_pool, with a
@@ -159,11 +178,13 @@ class TestDispatch:
             pool = RunRecorder(workers)
             assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
             lengths = [run.hi - run.lo for run in pool.runs]
-            assert len(lengths) == min(workers, max(-(-n // size), 1)), size
-            assert all(run.lo % size == 0 and run.size == size for run in pool.runs), size
-            assert all(length % size == 0 for length in lengths[:-1]), (size, lengths)
+            # An empty input deals no run: its result is the fold of no windows.
+            assert len(lengths) == min(workers, -(-n // size)), size
             assert b"".join(map(run_bytes, pool.runs)) == bytes(text)
-            assert max(lengths) - min(lengths) <= size, (size, lengths)
+            if lengths:
+                assert all(run.lo % size == 0 and run.size == size for run in pool.runs), size
+                assert all(length % size == 0 for length in lengths[:-1]), (size, lengths)
+                assert max(lengths) - min(lengths) <= size, (size, lengths)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_copies_each_input_byte_at_most_once(self, workers, monkeypatch):
