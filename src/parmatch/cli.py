@@ -183,9 +183,10 @@ def _plans(args: argparse.Namespace, input_length: int, workers: int,
     return [ChunkPlan(args.branch, size) for size in sorted(sizes)]
 
 
-def _print_divergence(path: str, plan: ChunkPlan, where: dict, err) -> None:
+def _print_divergence(path: str, row: dict, err) -> None:
+    where = row["first_divergence"]
     print(
-        f"error: sequential/parallel divergence on {path} with {plan}: "
+        f"error: sequential/parallel divergence on {path} with {ChunkPlan(**row['plan'])}: "
         f"index lists first differ at position {where['position']} "
         f"(seq={where['sequential']}, par={where['parallel']})",
         file=err,
@@ -238,17 +239,17 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             else:
                 report = verify_equivalence(text, target, plans, map_pool)
                 if args.mode == "bench" and args.json:
-                    _write_json(out, {"path": path, "entries": report.to_json_obj()})
+                    _write_json(out, {"path": path, "entries": report.entries})
                 elif args.mode == "bench":
                     out.write(f"path={path}\n{report.to_text()}\n")
                 if not report.ok:
-                    for entry in report.entries:
-                        if not entry.equal:
-                            _print_divergence(path, entry.plan, entry.first_divergence, err)
+                    for row in report.entries:
+                        if not row["equal"]:
+                            _print_divergence(path, row, err)
                     return EXIT_DIVERGENCE
                 matcher = report.sequential
                 first = report.entries[0]
-                timings = {"seq": first.sequential_ms, "par": first.parallel_ms}
+                timings = {"seq": first["sequential_ms"], "par": first["parallel_ms"]}
             indices = matcher.indices
             found_any = found_any or len(indices) > 0
             if args.mode == "bench":

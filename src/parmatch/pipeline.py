@@ -80,11 +80,12 @@ class _Run:
 def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list]:
     """One map task: scan each chunk of ``run`` on its own, fold the windows
     inline, and return the run's window moved by ``base`` to absolute
-    offsets, in :func:`~parmatch.matcher.ship`'s form.
+    offsets, in :func:`~parmatch.matcher.ship`'s form.  :func:`to_sm_par`
+    deals no empty run, so there is at least one window to fold.
     """
     text, hi, size = run.text, run.hi, run.size
     windows = [scan_window(text, target, lo, min(lo + size, hi))
-               for lo in range(run.lo, hi, size) or (run.lo,)]
+               for lo in range(run.lo, hi, size)]
     return ship(pmconcat(window_ops(text, target), 2, windows), run.base)
 
 
@@ -141,57 +142,33 @@ def default_plan_sweep(target_length: int) -> list[ChunkPlan]:
     return [ChunkPlan(2, size) for size in sorted(sizes)]
 
 
-class EquivalenceEntry:
-    def __init__(
-        self, plan: ChunkPlan, first_divergence: dict | None,
-        sequential_ms: float, parallel_ms: float,
-    ) -> None:
-        self.plan = plan
-        self.first_divergence = first_divergence
-        self.sequential_ms = sequential_ms
-        self.parallel_ms = parallel_ms
-
-    @property
-    def equal(self) -> bool:
-        return self.first_divergence is None
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_ms / self.parallel_ms if self.parallel_ms > 0 else 0.0
-
-
 class EquivalenceReport:
-    def __init__(self, entries: list[EquivalenceEntry], sequential: StringMatcher) -> None:
+    """:func:`verify_equivalence`'s ``sequential`` matcher and ``entries``,
+    one row per plan, the dict ``--mode bench --json`` prints: ``plan``
+    (``{"branch", "chunk_size"}``), ``equal``, ``first_divergence``,
+    ``sequential_ms``, ``parallel_ms`` and ``speedup`` (their ratio, or 0.0
+    when ``parallel_ms`` is 0).
+    """
+
+    def __init__(self, entries: list[dict], sequential: StringMatcher) -> None:
         self.entries = entries
         self.sequential = sequential
 
     @property
     def ok(self) -> bool:
-        return all(entry.equal for entry in self.entries)
+        return all(row["equal"] for row in self.entries)
 
     def to_text(self) -> str:
         header = f"{'branch':>6} {'chunk':>8} {'equal':>5} {'seq_ms':>10} {'par_ms':>10} {'speedup':>8}"
         lines = [header]
-        for entry in self.entries:
+        for row in self.entries:
+            plan = row["plan"]
             lines.append(
-                f"{entry.plan.branch:>6} {entry.plan.chunk_size:>8} "
-                f"{str(entry.equal).lower():>5} {entry.sequential_ms:>10.3f} "
-                f"{entry.parallel_ms:>10.3f} {entry.speedup:>8.2f}"
+                f"{plan['branch']:>6} {plan['chunk_size']:>8} "
+                f"{str(row['equal']).lower():>5} {row['sequential_ms']:>10.3f} "
+                f"{row['parallel_ms']:>10.3f} {row['speedup']:>8.2f}"
             )
         return "\n".join(lines)
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {
-                "plan": {"branch": entry.plan.branch, "chunk_size": entry.plan.chunk_size},
-                "equal": entry.equal,
-                "first_divergence": entry.first_divergence,
-                "sequential_ms": entry.sequential_ms,
-                "parallel_ms": entry.parallel_ms,
-                "speedup": entry.speedup,
-            }
-            for entry in self.entries
-        ]
 
 
 def first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:
@@ -217,16 +194,22 @@ def verify_equivalence(
     """Run both paths for every plan and report equality plus timings.
 
     ``map_pool`` scans the chunks of every parallel run; merges run inline.
-    ``to_sm`` is timed right before each plan, so every entry has its own
-    sequential sample, and its result is returned as ``sequential``.
-    Any inequality is reported data here, and a released-code bug there.
+    ``to_sm`` is timed right before each plan, so every row (keyed as in
+    :class:`EquivalenceReport`) has its own sequential sample, and its
+    result is returned as ``sequential``.  Any inequality is reported data
+    here, and a released-code bug there.
     """
     if plans is None:
         plans = default_plan_sweep(len(target))
     entries = []
     for plan in plans:
-        sequential, sequential_ms = timed(to_sm, text, target)
-        parallel, parallel_ms = timed(to_sm_par, plan, text, target, map_pool)
+        sequential, seq_ms = timed(to_sm, text, target)
+        parallel, par_ms = timed(to_sm_par, plan, text, target, map_pool)
         where = first_divergence(sequential, parallel)
-        entries.append(EquivalenceEntry(plan, where, sequential_ms, parallel_ms))
+        entries.append({
+            "plan": {"branch": plan.branch, "chunk_size": plan.chunk_size},
+            "equal": where is None, "first_divergence": where,
+            "sequential_ms": seq_ms, "parallel_ms": par_ms,
+            "speedup": seq_ms / par_ms if par_ms > 0 else 0.0,
+        })
     return EquivalenceReport(entries, sequential if plans else to_sm(text, target))

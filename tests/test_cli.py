@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from parmatch import ChunkPlan, StringMatcher, cli, matcher, naive_match, pipeline
+from parmatch import ByteText, ChunkPlan, StringMatcher, cli, matcher, naive_match, pipeline
 
 from support import bt
 
@@ -162,6 +162,8 @@ class TestRun:
         assert status == cli.EXIT_DIVERGENCE
         assert "position 2" in err
         assert "seq=4, par=5" in err
+        if "--chunk" in flags:
+            assert f"divergence on {sample} with ChunkPlan(branch=4, chunk_size=3): " in err
 
     def test_multiple_inputs(self, sample, tmp_path):
         other = tmp_path / "other.txt"
@@ -680,6 +682,17 @@ class TestBench:
                 "plan", "equal", "first_divergence", "sequential_ms", "parallel_ms", "speedup"
             }
             assert entry["equal"] and entry["first_divergence"] is None
+        # The printed rows are verify_equivalence's rows, apart from timings.
+        plans = [ChunkPlan(**entry["plan"]) for entry in entries]
+        rows = pipeline.verify_equivalence(ByteText.from_file(sample), bt("aba"), plans).entries
+        timings = {"sequential_ms", "parallel_ms", "speedup"}
+        for entry, row in zip(entries, rows, strict=True):
+            assert set(entry) == set(row)
+            assert {k: v for k, v in entry.items() if k not in timings} == {
+                k: v for k, v in row.items() if k not in timings
+            }
+            par_ms = entry["parallel_ms"]
+            assert entry["speedup"] == (entry["sequential_ms"] / par_ms if par_ms > 0 else 0.0)
 
     def test_sweep_is_at_branch(self, periodic):
         # Without --chunk, bench sweeps chunk sizes only, all at --branch.
