@@ -51,8 +51,12 @@ class TargetMismatchError(ValueError):
     """Two matchers with different targets were combined."""
 
 
+FIRST = 256
+"""Candidate positions in the first block of a :func:`make_indices` scan,
+and in the first block after each skipped run.  ``FIRST <= BLOCK``."""
+
 BLOCK = 4096
-"""Candidate positions per block of :func:`make_indices`."""
+"""The most candidate positions in one block of :func:`make_indices`."""
 
 
 def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
@@ -67,7 +71,7 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     every candidate: a non-empty range of candidates is its one segment,
     ``range(lo, last + 1)``, and an empty one gives ``[]``.
 
-    The scan runs over the candidates in blocks of :data:`BLOCK`.  In a
+    The scan runs over the candidates in blocks, sized as below.  In a
     block it compares the target's first byte at each position and slices
     out the whole window only where that byte matches, the check that
     Horspool's skip loop is built on.  After a block whose last hit ``h``
@@ -89,10 +93,22 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     with hits is one ``list`` segment and a skipped run one ``range``, so
     a periodic run costs O(1) memory until :func:`_expand` lists it.
 
-    :data:`BLOCK` is 4096 as a trade-off: aperiodic input pays one Python
-    block step per 4 KiB of candidates, and periodic input compares at
-    most one block of candidates one by one before each run is skipped.
-    The smallest period is computed only after two overlapping hits.
+    Block sizes double, as in Bentley and Yao's unbounded search: a
+    window's first block is :data:`FIRST` candidates, each later one twice
+    the one before, up to :data:`BLOCK`, and the first block after a
+    skipped run is :data:`FIRST` again.  So a run of hits that starts a
+    window, or follows a skipped run, is skipped after one block of
+    ``FIRST`` candidates compared one by one, and every chunk of a parallel
+    scan is a window of its own; a run that starts later is skipped at the
+    end of its block, of at most ``BLOCK`` candidates.  Aperiodic input
+    still pays one Python block step per ``BLOCK`` candidates once the
+    blocks have grown.  Once at most :data:`BLOCK`
+    candidates remain, they are the last block: a window that short, such
+    as a small input or a join's seam, is one block, since splitting it
+    would add block steps to the scans where they cost the most, and it
+    has no later block that a skip could save.  With ``FIRST == BLOCK``
+    every block is ``BLOCK`` candidates.  The smallest period is computed
+    at most once per call, after the first two overlapping hits.
     """
     data = text.data
     tg = target.data
@@ -104,9 +120,14 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     first = tg[0]
     segments: list = []
     h = lo - width  # the last hit; none yet, and lo - width overlaps no hit at or after lo
+    span = FIRST
+    q = 0  # the smallest period, computed at the first skip
     while lo <= last:
-        # min(lo + BLOCK, last + 1), without the call that short scans would feel
-        end = last + 1 if last - lo < BLOCK else lo + BLOCK
+        if last - lo < BLOCK:  # the last block, which never skips
+            end = last + 1
+        else:
+            end = lo + span
+            span = min(2 * span, BLOCK)
         block = [i for i in range(lo, end) if data[i] == first and data[i : i + width] == tg]
         lo = end
         if block:
@@ -114,12 +135,13 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
             before = block[-2] if len(block) > 1 else h
             h = block[-1]
             if lo <= last and h - before < width:
-                q = _period(tg)
+                q = q or _period(tg)
                 runs = (_periodic_end(data, h + width, q, last + width) - width - h) // q
                 if runs:
                     segments.append(range(h + q, h + q * runs + 1, q))
                     h += q * runs
                     lo = h + 1
+                    span = FIRST
     return segments
 
 

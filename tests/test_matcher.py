@@ -44,8 +44,16 @@ from support import (
 )
 
 
-BLOCKS = [1, 2, 3, matcher.BLOCK]
-"""Block sizes for the scan: small ones reach the periodic skip from every hit."""
+DEFAULT_BLOCKS = (matcher.FIRST, matcher.BLOCK)
+BLOCKS = [(1, 1), (1, 4), (2, 8), (3, 3), (3, 8), DEFAULT_BLOCKS]
+"""``(FIRST, BLOCK)`` pairs for the scan: small blocks reach the periodic
+skip from every hit, and a ``FIRST`` below ``BLOCK`` doubles the blocks and
+restarts them after each skip, across block edges."""
+
+
+def blocks(first, block):
+    """The scan's block sizes patched to ``first`` and ``block``."""
+    return mock.patch.multiple(matcher, FIRST=first, BLOCK=block)
 
 
 def full_scan(text, target):
@@ -92,19 +100,20 @@ class TestMakeIndices:
         assert flatten(make_indices(bt("ababcabcab"), bt("abcab"), 3, 9)) == [5]
 
     @given(any_windows(), st.sampled_from(BLOCKS))
-    @example((bt("abc"), EMPTY, -1, 5), matcher.BLOCK)  # no first byte: every candidate
-    @example((bt(b"\x80\xff\xff\x00\xff"), bt(b"\xff\x00"), 0, 5), matcher.BLOCK)  # high bytes
-    @example((bt("aXaYabc"), bt("abc"), 0, 6), matcher.BLOCK)  # first byte matches, tail does not
-    @example((bt("xxab"), bt("ab"), 0, 2), matcher.BLOCK)  # a match at the last candidate
-    @example((bt("xxab"), bt("ab"), -3, 9), matcher.BLOCK)
-    @example((bt("abababbababa"), bt("abab"), 0, 11), 2)  # a periodic run broken by one byte
-    @example((bt("aaaaaaaa"), bt("aaa"), 1, 4), 1)  # a run cut short by hi
-    def test_any_window_equals_naive_match(self, window, block):
+    @example((bt("abc"), EMPTY, -1, 5), DEFAULT_BLOCKS)  # no first byte: every candidate
+    @example((bt(b"\x80\xff\xff\x00\xff"), bt(b"\xff\x00"), 0, 5), DEFAULT_BLOCKS)  # high bytes
+    @example((bt("aXaYabc"), bt("abc"), 0, 6), DEFAULT_BLOCKS)  # first byte matches, tail does not
+    @example((bt("xxab"), bt("ab"), 0, 2), DEFAULT_BLOCKS)  # a match at the last candidate
+    @example((bt("xxab"), bt("ab"), -3, 9), DEFAULT_BLOCKS)
+    @example((bt("abababbababa"), bt("abab"), 0, 11), (2, 2))  # a periodic run broken by one byte
+    @example((bt("aaaaaaaa"), bt("aaa"), 1, 4), (1, 1))  # a run cut short by hi
+    @example((bt("abababbababababa"), bt("abab"), 0, 15), (1, 4))  # skip, restart, skip
+    def test_any_window_equals_naive_match(self, window, sizes):
         # lo < 0, hi < lo, hi past the end, and windows ending in the last m bytes;
         # small blocks start the periodic skip after every hit
         text, target, lo, hi = window
         expected = [i for i in naive_match(text, target) if lo <= i <= hi]
-        with mock.patch.object(matcher, "BLOCK", block):
+        with blocks(*sizes):
             assert flatten(make_indices(text, target, lo, hi)) == expected
 
     def test_make_sm_indices_full_scan(self):
@@ -134,12 +143,52 @@ class TestPeriod:
                 assert matcher._period(tg) == period(tg), tg
 
 
+class TestBlocks:
+    """The scan's blocks double from ``FIRST`` to ``BLOCK`` candidates and
+    start at ``FIRST`` again after each skipped run; a window of at most
+    ``BLOCK`` candidates is one block."""
+
+    def test_block_sizes_double_up_to_block(self):
+        # A one-byte target never overlaps itself, so every candidate is a
+        # hit, no block skips, and each block is one list of its size.
+        with blocks(2, 8):
+            _, _, segments = scan_window(bt("a" * 30), bt("a"), 0, 30)
+        assert [len(s) for s in segments] == [2, 4, 8, 8, 8]
+
+    def test_a_periodic_window_is_skipped_after_the_first_block(self):
+        text, target = ByteText(b"ab" * 32768), bt("ababa")
+        _, _, segments = scan_window(text, target, 0, 65536)
+        assert [type(s) for s in segments] == [list, range]
+        assert len(segments[0]) <= 128  # FIRST // 2: one block of 256 candidates
+        assert flatten(segments) == naive_match(text, target)
+
+    def test_a_broken_run_is_skipped_again_within_first_candidates(self):
+        text, target = ByteText(b"ab" * 16384 + b"b" + b"ab" * 16384), bt("ababa")
+        _, _, segments = scan_window(text, target, 0, len(text))
+        assert [type(s) for s in segments] == [list, range, list, range]
+        assert len(segments[2]) <= 128
+        assert segments[2][-1] - segments[1][-1] <= 256  # FIRST
+        assert flatten(segments) == naive_match(text, target)
+
+    def test_a_window_of_at_most_block_candidates_is_one_block(self):
+        # abc never overlaps itself: no skip, so only the block sizes cut lists.
+        target = bt("abc")
+        for candidates, count in ((matcher.BLOCK - 1, 1), (matcher.BLOCK, 1),
+                                  (matcher.BLOCK + 1, 2)):
+            text = ByteText((b"abcx" * matcher.BLOCK)[: candidates + 2])
+            _, _, segments = scan_window(text, target, 0, len(text))
+            assert len(segments) == count, candidates
+            assert flatten(segments) == naive_match(text, target)
+
+
 class TestSmallScope:
     """Every text over ``{a,b}`` of up to ``TEXT_MAX`` bytes, every target of up
     to 4 bytes and every cut: both windows and their join against
     ``naive_match``, and the join against the seam spec ``cast + new + shift``.
     No window or join holds an empty segment.
-    Blocks of 1 and 3 start the periodic skip from every position.  A skip
+    Blocks of 1 and 3 start the periodic skip from every position, and
+    blocks that double from 1, 2 or 3 cross block edges and restart after
+    a skip (:data:`BLOCKS`).  A skip
     made with a period that is too long first lists a wrong hit on 10 bytes
     (``abab`` skipped at period 4), so whole texts of up to ``SCAN_MAX``
     bytes are also scanned, without cuts."""
@@ -151,16 +200,15 @@ class TestSmallScope:
         targets = [bt(bytes(w)) for m in range(5) for w in itertools.product(b"ab", repeat=m)]
         texts = [bt(bytes(w)) for n in range(self.SCAN_MAX + 1)
                  for w in itertools.product(b"ab", repeat=n)]
-        default = matcher.BLOCK
-        for block in (1, 3, default):
-            with mock.patch.object(matcher, "BLOCK", block):
+        for sizes in BLOCKS:
+            with blocks(*sizes):
                 for text in texts:
                     for target in targets:
                         if len(text) <= self.TEXT_MAX:
-                            self.check(text, target, spec=block == default)
-                        elif block != default:  # one block of these never skips
+                            self.check(text, target, spec=sizes == DEFAULT_BLOCKS)
+                        elif sizes != DEFAULT_BLOCKS:  # one block of these never skips
                             assert flat_window(scan_window(text, target, 0, len(text))) == (
-                                0, len(text), naive_match(text, target)), (text, target, block)
+                                0, len(text), naive_match(text, target)), (text, target, sizes)
 
     @staticmethod
     def check(text, target, spec):
