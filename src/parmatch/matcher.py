@@ -15,24 +15,27 @@ concatenation keeps the index list sorted.  :func:`to_sm` builds a matcher
 by scanning, and the whole point of the design is that it distributes over
 concatenation, so matching can be chunked and run in parallel.
 
-Every index list is a window scan or a concatenation of window scans:
-:func:`scan_window` lists the matches wholly inside a half-open window
-``[lo, hi)`` of one buffer, as absolute offsets, and is the only caller of
-the scan :func:`make_indices`.  :func:`to_sm` scans ``[0, len(text))``, and
-:func:`join_windows` joins adjacent windows, with no shift, by scanning the
-seam, the ``m - 1`` bytes on each side of the cut.  It is the one merge:
+Every index list is a window scan or a concatenation of window scans.  A
+window ``(lo, hi, head, tail, segments)`` is the range ``[lo, hi)`` of an
+input with its first and last ``min(m - 1, hi - lo)`` bytes, for an
+``m``-byte target, and the matches wholly inside it, as absolute offsets.
+:func:`scan_window` cuts one from a buffer and is the only caller of the
+scan :func:`make_indices`; :func:`to_sm` scans ``[0, len(text))``.
+:func:`join_windows` joins adjacent windows, with no shift, by scanning
+the seam, the left tail and the right head: it reads only its operands,
+so no fold of windows needs a buffer.  It is the one merge:
 :func:`sm_append` and the pipeline's :func:`window_ops` both go through it.
 
 The scan compares candidates one by one in blocks, except where hits of a
 periodic target overlap: it then lists the run of hits that follow at the
 target's smallest period as an arithmetic progression, after a few slice
-compares, instead of one Python step per byte.  A window ``(lo, hi,
-segments)`` holds its indices as *segments*, a list of ascending ``list``
-and ``range`` objects: a run stays a ``range`` (O(1) to store, shift or
-pickle) through every join, which concatenates segment lists and copies
-no index.  Only this module reads segments.  :func:`ship` moves a window
-into the form a map task returns, and :func:`window_matcher` lists a
-window's segments once, into a matcher's ``indices`` tuple.
+compares, instead of one Python step per byte.  A window holds its
+indices as *segments*, a list of ascending ``list`` and ``range`` objects:
+a run stays a ``range`` (O(1) to store, shift or pickle) through every
+join, which concatenates segment lists and copies no index.  Only this
+module reads segments.  :func:`ship` moves a window into the form a map
+task returns, and :func:`window_matcher` lists a window's segments once,
+into a matcher's ``indices`` tuple.
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -202,59 +205,67 @@ def sm_empty(target: ByteText) -> StringMatcher:
     return StringMatcher(target, ByteText(), ())
 
 
-def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple[int, int, list]:
-    """The window ``(lo, hi, segments)``: the good indices of ``target``
-    lying wholly inside ``[lo, hi)`` of ``text``, as absolute offsets, in
-    :func:`make_indices`'s segments.
+def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple:
+    """The window ``(lo, hi, head, tail, segments)`` of ``[lo, hi)`` of
+    ``text``: its first and last ``min(m - 1, hi - lo)`` bytes and the good
+    indices of ``target`` wholly inside it, as absolute offsets, in
+    :func:`make_indices`'s segments.  So a run of chunks shorter than the
+    target holds at most twice its bytes in edges.
 
     The one scan rule: an empty target matches at every offset of the
     window but not at ``hi``, and an empty or inverted window lists nothing.
     """
-    return lo, hi, make_indices(text, target, lo, hi - max(len(target), 1))
+    return _window(text, target, lo, hi, make_indices(text, target, lo, hi - max(len(target), 1)))
 
 
-def join_windows(
-    text: ByteText, target: ByteText, left: tuple, right: tuple
-) -> tuple[int, int, list]:
-    """Join adjacent windows ``(lo, mid, a)`` and ``(mid, hi, b)`` of ``text``.
+def _window(text: ByteText, target: ByteText, lo: int, hi: int, segments: list) -> tuple:
+    """``[lo, hi)`` of ``text`` as a window that lists ``segments``."""
+    k = max(min(len(target.data) - 1, hi - lo), 0)
+    return lo, hi, text.data[lo : lo + k], text.data[hi - k : hi], segments
 
-    The windows must be adjacent: ``right`` starts where ``left`` ends.
-    The join keeps ``a`` and ``b`` as they are and adds the matches that
-    straddle ``mid``, which are exactly the matches of the seam: the window
-    of the ``m - 1`` bytes on each side of the cut, for an ``m``-byte
-    target, within ``[lo, hi)``.  It has at most ``m - 1`` start positions,
-    and none for ``m <= 1``.  Next to an empty operand the seam is shorter
-    than the target, or inverted for the empty target, so it adds no
-    segment (the paper's ``newIsNullLeft`` and ``newIsNullRight``, where
-    ``isNew`` is the empty list) and the other operand keeps its bounds
-    and segments.  The joined segment list is ``a``'s, the seam's and
-    ``b``'s segment objects in order, the paper's ``is1 ++ isNew ++
-    is2``: a join copies references to segments, never an index.
+
+def join_windows(target: ByteText, left: tuple, right: tuple) -> tuple:
+    """Join adjacent windows ``(lo, mid, ...)`` and ``(mid, hi, ...)``.
+
+    The join keeps their segments ``a`` and ``b`` and adds the matches that
+    straddle ``mid``: those of the seam, ``left``'s tail and ``right``'s
+    head, the only bytes it reads, with fewer start positions than the
+    target has bytes.  Next to an empty operand the seam is shorter than
+    the target, so it adds no segment (the paper's ``newIsNullLeft`` and
+    ``newIsNullRight``) and the other operand is the join.  The segment
+    list is ``a``'s, the seam's and ``b``'s segment objects in order, the
+    paper's ``is1 ++ isNew ++ is2``: a join copies no index.  The head is
+    ``left``'s and the tail ``right``'s, grown from the seam, which holds
+    all of an operand shorter than ``m - 1`` bytes.
     """
-    lo, mid, a = left
-    _, hi, b = right
-    m = len(target)
-    _, _, seam = scan_window(text, target, max(lo, mid - m + 1), min(hi, mid + m - 1))
-    return lo, hi, [*a, *seam, *b]
+    lo, mid, head, ta, a = left
+    _, hi, hb, tail, b = right
+    k, seam = len(target.data) - 1, ta + hb
+    found = scan_window(ByteText(seam), target, 0, len(seam))[-1]
+    if len(head) < k:
+        head = seam[:k]
+    if len(tail) < k:
+        tail = seam[-k:]
+    return lo, hi, head, tail, [*a, *_shift(found, mid - len(ta)), *b]
 
 
-def window_ops(text: ByteText, target: ByteText) -> MonoidOps:
-    """Windows of ``text`` under :func:`join_windows`, which joins only
-    adjacent ones: a category, not a monoid.  ``identity`` is the fold of
-    no windows, and so the window of an empty input, which the pipeline
-    deals no run."""
-    return MonoidOps(identity=_empty_window, combine=partial(join_windows, text, target))
+def window_ops(target: ByteText) -> MonoidOps:
+    """Windows ``(lo, hi, head, tail, segments)`` under :func:`join_windows`,
+    which joins only adjacent ones, reading no buffer: a category, not a
+    monoid.  ``identity`` is the fold of no windows, ``(0, 0, b"", b"",
+    [])``, the window of an empty input, which the pipeline deals no run."""
+    return MonoidOps(identity=_empty_window, combine=partial(join_windows, target))
 
 
-def _empty_window() -> tuple[int, int, list]:
-    """The identity: an empty input's window, holding no segment."""
-    return 0, 0, []
+def _empty_window() -> tuple:
+    """The identity: an empty input's window, holding no byte and no segment."""
+    return 0, 0, b"", b"", []
 
 
 def _shift(segments: list, offset: int) -> list:
     """``segments`` with every index moved by ``offset``: a ``range`` in
-    O(1), a list index by index; ``segments`` itself for offset 0."""
-    if not offset:
+    O(1), a list index by index; ``segments`` itself for offset 0 or none."""
+    if not offset or not segments:
         return segments
     return [range(s.start + offset, s.stop + offset, s.step) if type(s) is range
             else [i + offset for i in s] for s in segments]
@@ -282,23 +293,24 @@ class _Shipped(list):
         return _flatten, (list(self),)
 
 
-def ship(window: tuple, base: int) -> tuple[int, int, list]:
+def ship(window: tuple, base: int) -> tuple:
     """``window`` moved by ``base``, in the form every map task returns.
 
-    Its segments move as :func:`_shift` moves them, a ``range`` in O(1),
+    Its edges, at most ``m - 1`` bytes each, go as they are.  Its
+    segments move as :func:`_shift` moves them, a ``range`` in O(1),
     and travel as :class:`_Shipped`: pickled, they go as they are, so a
     periodic run crosses a process pipe as a ``range``, not one int per
     hit, and the receiving process lists them as it unpickles them.  In
     the process that made them they stay plain segments, which
     :func:`window_matcher` lists like any others.
     """
-    lo, hi, segments = window
-    return lo + base, hi + base, _Shipped(_shift(segments, base))
+    lo, hi, head, tail, segments = window
+    return lo + base, hi + base, head, tail, _Shipped(_shift(segments, base))
 
 
 def window_matcher(target: ByteText, text: ByteText, window: tuple) -> StringMatcher:
     """The matcher of ``text`` whose indices ``window`` lists, each listed once."""
-    return StringMatcher(target, text, tuple(_expand(window[2])))
+    return StringMatcher(target, text, tuple(_expand(window[-1])))
 
 
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
@@ -320,11 +332,9 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     target = a.target
     combined = a.text + b.text
     split = len(a.text)
-    shifted = _shift([b.indices], split)
-    joined = join_windows(
-        combined, target, (0, split, [a.indices]), (split, len(combined), shifted)
-    )
-    return window_matcher(target, combined, joined)
+    left = _window(combined, target, 0, split, [a.indices])
+    right = _window(combined, target, split, len(combined), _shift([b.indices], split))
+    return window_matcher(target, combined, join_windows(target, left, right))
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:

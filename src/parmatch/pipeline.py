@@ -4,9 +4,9 @@
 chunk is a window ``[lo, hi)`` of the caller's buffer, the chunks are
 dealt as one run per worker (one run when inline, none for an empty
 input), each worker scans and folds the windows of its run in parallel,
-and the caller folds the run windows.  Indices are absolute offsets into
-the buffer, so no merge shifts them.  It equals the sequential
-:func:`~parmatch.matcher.to_sm` for every plan, and
+and the caller folds the run windows.  Indices are absolute offsets, so
+no merge shifts them, and no fold reads the buffer.  It equals the
+sequential :func:`~parmatch.matcher.to_sm` for every plan, and
 :func:`verify_equivalence` checks that as a differential test with
 timings.
 """
@@ -77,7 +77,7 @@ class _Run:
         return _Run, (piece, 0, self.hi - self.lo, self.size, self.base + self.lo)
 
 
-def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list]:
+def _scan_run(target: ByteText, run: _Run) -> tuple:
     """One map task: scan each chunk of ``run`` on its own, fold the windows
     inline, and return the run's window moved by ``base`` to absolute
     offsets, in :func:`~parmatch.matcher.ship`'s form.  :func:`to_sm_par`
@@ -86,7 +86,7 @@ def _scan_run(target: ByteText, run: _Run) -> tuple[int, int, list]:
     text, hi, size = run.text, run.hi, run.size
     windows = [scan_window(text, target, lo, min(lo + size, hi))
                for lo in range(run.lo, hi, size)]
-    return ship(pmconcat(window_ops(text, target), 2, windows), run.base)
+    return ship(pmconcat(window_ops(target), 2, windows), run.base)
 
 
 def to_sm_par(
@@ -128,7 +128,7 @@ def to_sm_par(
     cuts = [k * n // runs * size for k in range(runs)] + [length]
     dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
     windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    return window_matcher(target, text, pmconcat(window_ops(text, target), 2, windows))
+    return window_matcher(target, text, pmconcat(window_ops(target), 2, windows))
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:

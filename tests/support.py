@@ -135,9 +135,14 @@ def flatten(segments) -> list[int]:
 
 
 def flat_window(window: tuple) -> tuple:
-    """A window ``(lo, hi, segments)`` as ``(lo, hi, indices)``."""
-    lo, hi, segments = window
-    return lo, hi, flatten(segments)
+    """A window ``(lo, hi, head, tail, segments)`` as ``(lo, hi, indices)``."""
+    return window[0], window[1], flatten(window[-1])
+
+
+def whole_window(window: tuple) -> tuple:
+    """A window with its segments as indices, its edges kept:
+    ``(lo, hi, head, tail, indices)``."""
+    return *window[:-1], flatten(window[-1])
 
 
 def fibonacci_word(length: int) -> bytes:

@@ -25,7 +25,7 @@ from parmatch import (
     to_sm_witness,
 )
 from parmatch import matcher
-from parmatch.matcher import join_windows, make_indices, scan_window
+from parmatch.matcher import join_windows, make_indices, scan_window, ship
 
 from support import (
     EMPTY,
@@ -41,6 +41,7 @@ from support import (
     period,
     shift_indices,
     spec_append_indices,
+    whole_window,
 )
 
 
@@ -152,19 +153,19 @@ class TestBlocks:
         # A one-byte target never overlaps itself, so every candidate is a
         # hit, no block skips, and each block is one list of its size.
         with blocks(2, 8):
-            _, _, segments = scan_window(bt("a" * 30), bt("a"), 0, 30)
+            segments = scan_window(bt("a" * 30), bt("a"), 0, 30)[-1]
         assert [len(s) for s in segments] == [2, 4, 8, 8, 8]
 
     def test_a_periodic_window_is_skipped_after_the_first_block(self):
         text, target = ByteText(b"ab" * 32768), bt("ababa")
-        _, _, segments = scan_window(text, target, 0, 65536)
+        segments = scan_window(text, target, 0, 65536)[-1]
         assert [type(s) for s in segments] == [list, range]
         assert len(segments[0]) <= 128  # FIRST // 2: one block of 256 candidates
         assert flatten(segments) == naive_match(text, target)
 
     def test_a_broken_run_is_skipped_again_within_first_candidates(self):
         text, target = ByteText(b"ab" * 16384 + b"b" + b"ab" * 16384), bt("ababa")
-        _, _, segments = scan_window(text, target, 0, len(text))
+        segments = scan_window(text, target, 0, len(text))[-1]
         assert [type(s) for s in segments] == [list, range, list, range]
         assert len(segments[2]) <= 128
         assert segments[2][-1] - segments[1][-1] <= 256  # FIRST
@@ -176,7 +177,7 @@ class TestBlocks:
         for candidates, count in ((matcher.BLOCK - 1, 1), (matcher.BLOCK, 1),
                                   (matcher.BLOCK + 1, 2)):
             text = ByteText((b"abcx" * matcher.BLOCK)[: candidates + 2])
-            _, _, segments = scan_window(text, target, 0, len(text))
+            segments = scan_window(text, target, 0, len(text))[-1]
             assert len(segments) == count, candidates
             assert flatten(segments) == naive_match(text, target)
 
@@ -220,14 +221,19 @@ class TestSmallScope:
             assert flat_window(a) == (
                 0, cut, expected[: bisect.bisect_right(expected, cut - max(m, 1))])
             assert flat_window(b) == (cut, n, expected[bisect.bisect_left(expected, cut) :])
-            joined = join_windows(text, target, a, b)
+            joined = join_windows(target, a, b)
             assert flat_window(joined) == (0, n, expected), (text, target, cut)
             # An empty window or seam adds no segment, for the empty target too.
-            assert all(len(s) for w in (a, b, joined) for s in w[2]), (text, target, cut)
+            assert all(len(s) for w in (a, b, joined) for s in w[-1]), (text, target, cut)
             if spec:
                 left, right = text.take(cut), text.drop(cut)
-                assert flatten(joined[2]) == (
-                    cast_indices(target, left, right, flatten(a[2]))
+                # Edges too, also when the operands were scanned apart.
+                apart = join_windows(target, scan_window(left, target, 0, cut),
+                                     ship(scan_window(right, target, 0, n - cut), cut))
+                whole = whole_window(scan_window(text, target, 0, n))
+                assert whole_window(joined) == whole_window(apart) == whole, (text, target, cut)
+                assert flatten(joined[-1]) == (
+                    cast_indices(target, left, right, flatten(a[-1]))
                     + make_new_indices(left, right, target)
                     + shift_indices(target, left, right, naive_match(right, target))
                 ), (text, target, cut)
@@ -308,7 +314,10 @@ class TestIndexGroups:
 
 
 class TestWindows:
-    """Windows ``(lo, hi, indices)`` of one buffer, with absolute indices."""
+    """Windows ``(lo, hi, head, tail, segments)``: the range ``[lo, hi)`` of
+    an input, its first and last ``min(m - 1, hi - lo)`` bytes, and the
+    matches wholly inside it as absolute indices.  A join reads only its
+    operands, so windows scanned from separate buffers join."""
 
     @given(dense_cases(), st.data())
     def test_window_lists_the_matches_wholly_inside(self, case, data):
@@ -324,9 +333,25 @@ class TestWindows:
         # Includes empty windows and windows shorter than the target.
         text, target = case
         lo, mid, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(3))
-        joined = join_windows(text, target, scan_window(text, target, lo, mid),
+        joined = join_windows(target, scan_window(text, target, lo, mid),
                               scan_window(text, target, mid, hi))
         assert flat_window(joined) == flat_window(scan_window(text, target, lo, hi))
+        assert whole_window(joined) == whole_window(scan_window(text, target, lo, hi))
+
+    @given(dense_cases(), st.data())
+    def test_join_of_windows_scanned_apart_scans_their_union(self, case, data):
+        # Each operand is scanned from a buffer of its own bytes, and the
+        # right one is shipped to absolute offsets: the join has no shared
+        # buffer to read, at every cut, next to operands shorter than m - 1
+        # bytes and at both ends.
+        text, target = case
+        n, m = len(text), len(target)
+        mid = data.draw(st.one_of(st.integers(0, n), st.sampled_from(
+            [0, n, min(max(m - 2, 0), n), max(n - m + 2, 0)])))
+        left = scan_window(ByteText(text.data[:mid]), target, 0, mid)
+        right = ship(scan_window(ByteText(text.data[mid:]), target, 0, n - mid), mid)
+        joined = join_windows(target, left, right)
+        assert whole_window(joined) == whole_window(scan_window(text, target, 0, n))
 
     def test_join_keeps_the_operands_segments(self):
         # A join copies no index: its segments are the operands' own
@@ -335,12 +360,12 @@ class TestWindows:
         for mid in (4, 6001, 6002, 11995):
             a = scan_window(text, target, 0, mid)
             b = scan_window(text, target, mid, len(text))
-            joined = join_windows(text, target, a, b)
-            assert any(type(segment) is range for segment in a[2] + b[2]), mid
-            assert all(x is y for x, y in zip(joined[2], a[2])), mid
-            assert all(x is y for x, y in zip(reversed(joined[2]), reversed(b[2]))), mid
-            assert len(a[2]) + len(b[2]) <= len(joined[2]) <= len(a[2]) + len(b[2]) + 1, mid
-            assert flatten(joined[2]) == naive_match(text, target), mid
+            joined = join_windows(target, a, b)
+            assert any(type(segment) is range for segment in a[-1] + b[-1]), mid
+            assert all(x is y for x, y in zip(joined[-1], a[-1])), mid
+            assert all(x is y for x, y in zip(reversed(joined[-1]), reversed(b[-1]))), mid
+            assert len(a[-1]) + len(b[-1]) <= len(joined[-1]) <= len(a[-1]) + len(b[-1]) + 1, mid
+            assert flatten(joined[-1]) == naive_match(text, target), mid
 
     @given(dense_cases(), st.data())
     def test_an_adjacent_empty_window_leaves_a_window_unchanged(self, case, data):
@@ -350,9 +375,11 @@ class TestWindows:
         text, target = case
         lo, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(2))
         window = scan_window(text, target, lo, hi)
-        before, after = (lo, lo, []), (hi, hi, [])
-        assert flat_window(join_windows(text, target, before, window)) == flat_window(window)
-        assert flat_window(join_windows(text, target, window, after)) == flat_window(window)
+        before, after = (lo, lo, b"", b"", []), (hi, hi, b"", b"", [])
+        assert flat_window(join_windows(target, before, window)) == flat_window(window)
+        assert flat_window(join_windows(target, window, after)) == flat_window(window)
+        assert whole_window(join_windows(target, before, window)) == whole_window(window)
+        assert whole_window(join_windows(target, window, after)) == whole_window(window)
 
     @given(dense_cases(), st.data())
     def test_joins_of_adjacent_triples_associate(self, case, data):
@@ -361,10 +388,13 @@ class TestWindows:
         text, target = case
         a, b, c, d = sorted(data.draw(st.integers(0, len(text))) for _ in range(4))
         x, y, z = (scan_window(text, target, lo, hi) for lo, hi in ((a, b), (b, c), (c, d)))
-        join = partial(join_windows, text, target)
+        join = partial(join_windows, target)
         expected = flat_window(scan_window(text, target, a, d))
         assert flat_window(join(join(x, y), z)) == expected
         assert flat_window(join(x, join(y, z))) == expected
+        whole = whole_window(scan_window(text, target, a, d))
+        assert whole_window(join(join(x, y), z)) == whole
+        assert whole_window(join(x, join(y, z))) == whole
 
 
 class TestOneScan:
@@ -415,7 +445,7 @@ class TestOneScan:
                         left = scan_window(text, target, lo, mid)
                         right = scan_window(text, target, mid, hi)
                         scans.clear()
-                        join_windows(text, target, left, right)
+                        join_windows(target, left, right)
                         seam = [n for caller, outer, n in scans
                                 if "join_windows" in (caller, outer)]
                         assert len(seam) == len(scans) <= 1

@@ -266,15 +266,17 @@ class TestDispatch:
             assert flat_window(shipped) == flat_window(window)
             # The receiver lists a run's segments as it unpickles them,
             # whichever process scanned it: both have one result shape.
-            assert len(pickle.loads(pickle.dumps(shipped))[2]) == 1
-            assert len(pickle.loads(pickle.dumps(window))[2]) == 1
+            assert len(pickle.loads(pickle.dumps(shipped))[-1]) == 1
+            assert len(pickle.loads(pickle.dumps(window))[-1]) == 1
+            # Its edges cross the pipe as they are.
+            assert pickle.loads(pickle.dumps(shipped))[2:4] == window[2:4]
             lo, hi, indices = flat_window(window)
             assert (lo, hi) == (run.lo, run.hi)
             assert indices == [i for i in naive_match(text, target) if lo <= i <= hi - 4]
             windows.append(window)
         edges = [run.hi for run in runs[:-1]]
         assert any(i < edge < i + 4 for edge in edges for i in naive_match(text, target))
-        _, _, segments = pmconcat(window_ops(text, target), 2, windows)
+        segments = pmconcat(window_ops(target), 2, windows)[-1]
         assert tuple(flatten(segments)) == to_sm(text, target).indices
 
     def test_runs_in_process_list_each_index_once(self, monkeypatch):
