@@ -25,6 +25,8 @@ scan :func:`make_indices`; :func:`to_sm` scans ``[0, len(text))``.
 the seam, the left tail and the right head: it reads only its operands,
 so no fold of windows needs a buffer.  It is the one merge:
 :func:`sm_append` and the pipeline's :func:`window_ops` both go through it.
+The window layer works on plain ``bytes``: :func:`to_sm`, :func:`sm_append`
+and ``to_sm_par`` unwrap the public value, :class:`ByteText`, at the edge.
 
 The scan compares candidates one by one in blocks, except where hits of a
 periodic target overlap: it then lists the run of hits that follow at the
@@ -62,14 +64,14 @@ BLOCK = 4096
 """The most candidate positions in one block of :func:`make_indices`."""
 
 
-def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
-    """All good indices of ``target`` in ``text`` within ``[lo, hi]``, as
-    segments: a list of ascending runs of indices, each a ``list`` of the
-    candidates the scan compared or a ``range`` of the hits it skipped to.
-    Their concatenation (:func:`_expand`) is the index list.
+def make_indices(data: bytes, tg: bytes, lo: int, hi: int) -> list:
+    """All good indices of the bytes ``tg`` in the bytes ``data`` within
+    ``[lo, hi]``, as segments: a list of ascending runs of indices, each a
+    ``list`` of the candidates the scan compared or a ``range`` of the hits
+    it skipped to.  Their concatenation (:func:`_expand`) is the index list.
 
     An empty range (``hi < lo``) lists no index and no segment, and
-    ``len(text)`` is no index, even for the empty target.  A negative
+    ``len(data)`` is no index, even for the empty target.  A negative
     ``lo`` reads as 0.  The empty target has no first byte and matches at
     every candidate: a non-empty range of candidates is its one segment,
     ``range(lo, last + 1)``, and an empty one gives ``[]``.
@@ -113,8 +115,6 @@ def make_indices(text: ByteText, target: ByteText, lo: int, hi: int) -> list:
     every block is ``BLOCK`` candidates.  The smallest period is computed
     at most once per call, after the first two overlapping hits.
     """
-    data = text.data
-    tg = target.data
     width = len(tg)
     lo = max(lo, 0)
     last = min(hi, len(data) - max(width, 1))
@@ -205,27 +205,28 @@ def sm_empty(target: ByteText) -> StringMatcher:
     return StringMatcher(target, ByteText(), ())
 
 
-def scan_window(text: ByteText, target: ByteText, lo: int, hi: int) -> tuple:
-    """The window ``(lo, hi, head, tail, segments)`` of ``[lo, hi)`` of
-    ``text``: its first and last ``min(m - 1, hi - lo)`` bytes and the good
-    indices of ``target`` wholly inside it, as absolute offsets, in
-    :func:`make_indices`'s segments.  So a run of chunks shorter than the
-    target holds at most twice its bytes in edges.
+def scan_window(data: bytes, tg: bytes, lo: int, hi: int) -> tuple:
+    """The window ``(lo, hi, head, tail, segments)`` of ``[lo, hi)`` of the
+    bytes ``data``: its first and last ``min(m - 1, hi - lo)`` bytes and the
+    good indices of the bytes ``tg`` wholly inside it, as absolute offsets,
+    in :func:`make_indices`'s segments.  So a run of chunks shorter than
+    the target holds at most twice its bytes in edges.
 
     The one scan rule: an empty target matches at every offset of the
     window but not at ``hi``, and an empty or inverted window lists nothing.
     """
-    return _window(text, target, lo, hi, make_indices(text, target, lo, hi - max(len(target), 1)))
+    return _window(data, tg, lo, hi, make_indices(data, tg, lo, hi - max(len(tg), 1)))
 
 
-def _window(text: ByteText, target: ByteText, lo: int, hi: int, segments: list) -> tuple:
-    """``[lo, hi)`` of ``text`` as a window that lists ``segments``."""
-    k = max(min(len(target.data) - 1, hi - lo), 0)
-    return lo, hi, text.data[lo : lo + k], text.data[hi - k : hi], segments
+def _window(data: bytes, tg: bytes, lo: int, hi: int, segments: list) -> tuple:
+    """``[lo, hi)`` of ``data`` as a window that lists ``segments``."""
+    k = max(min(len(tg) - 1, hi - lo), 0)
+    return lo, hi, data[lo : lo + k], data[hi - k : hi], segments
 
 
-def join_windows(target: ByteText, left: tuple, right: tuple) -> tuple:
-    """Join adjacent windows ``(lo, mid, ...)`` and ``(mid, hi, ...)``.
+def join_windows(tg: bytes, left: tuple, right: tuple) -> tuple:
+    """Join adjacent windows ``(lo, mid, ...)`` and ``(mid, hi, ...)`` of
+    the target's bytes ``tg``.
 
     The join keeps their segments ``a`` and ``b`` and adds the matches that
     straddle ``mid``: those of the seam, ``left``'s tail and ``right``'s
@@ -235,26 +236,27 @@ def join_windows(target: ByteText, left: tuple, right: tuple) -> tuple:
     ``newIsNullRight``) and the other operand is the join.  The segment
     list is ``a``'s, the seam's and ``b``'s segment objects in order, the
     paper's ``is1 ++ isNew ++ is2``: a join copies no index.  The head is
-    ``left``'s and the tail ``right``'s, grown from the seam, which holds
-    all of an operand shorter than ``m - 1`` bytes.
+    ``left``'s and the tail ``right``'s, or else the seam scan's own edges:
+    the seam holds all of an operand shorter than ``m - 1`` bytes.
     """
     lo, mid, head, ta, a = left
     _, hi, hb, tail, b = right
-    k, seam = len(target.data) - 1, ta + hb
-    found = scan_window(ByteText(seam), target, 0, len(seam))[-1]
+    k, seam = len(tg) - 1, ta + hb
+    _, _, sh, st, found = scan_window(seam, tg, 0, len(seam))
     if len(head) < k:
-        head = seam[:k]
+        head = sh
     if len(tail) < k:
-        tail = seam[-k:]
+        tail = st
     return lo, hi, head, tail, [*a, *_shift(found, mid - len(ta)), *b]
 
 
-def window_ops(target: ByteText) -> MonoidOps:
-    """Windows ``(lo, hi, head, tail, segments)`` under :func:`join_windows`,
-    which joins only adjacent ones, reading no buffer: a category, not a
-    monoid.  ``identity`` is the fold of no windows, ``(0, 0, b"", b"",
-    [])``, the window of an empty input, which the pipeline deals no run."""
-    return MonoidOps(identity=_empty_window, combine=partial(join_windows, target))
+def window_ops(tg: bytes) -> MonoidOps:
+    """Windows ``(lo, hi, head, tail, segments)`` of the bytes ``tg`` under
+    :func:`join_windows`, which joins only adjacent ones, reading no buffer:
+    a category, not a monoid.  ``identity`` is the fold of no windows,
+    ``(0, 0, b"", b"", [])``, the window of an empty input, which the
+    pipeline deals no run."""
+    return MonoidOps(identity=_empty_window, combine=partial(join_windows, tg))
 
 
 def _empty_window() -> tuple:
@@ -329,12 +331,11 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
         raise TargetMismatchError(
             f"cannot combine matchers for {a.target!r} and {b.target!r}"
         )
-    target = a.target
     combined = a.text + b.text
-    split = len(a.text)
-    left = _window(combined, target, 0, split, [a.indices])
-    right = _window(combined, target, split, len(combined), _shift([b.indices], split))
-    return window_matcher(target, combined, join_windows(target, left, right))
+    data, tg, split = combined.data, a.target.data, len(a.text.data)
+    left = _window(data, tg, 0, split, [a.indices])
+    right = _window(data, tg, split, len(data), _shift([b.indices], split))
+    return window_matcher(a.target, combined, join_windows(tg, left, right))
 
 
 def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
@@ -344,7 +345,7 @@ def to_sm(text: ByteText, target: ByteText) -> StringMatcher:
     at every offset ``0..len(text) - 1`` but not at ``len(text)``, so an
     empty input has no match; ``to_sm_par`` and ``naive_match`` agree.
     """
-    return window_matcher(target, text, scan_window(text, target, 0, len(text)))
+    return window_matcher(target, text, scan_window(text.data, target.data, 0, len(text.data)))
 
 
 def naive_match(text: ByteText, target: ByteText) -> list[int]:

@@ -58,35 +58,34 @@ def timed(fn, *args):
 
 
 class _Run:
-    """The whole chunks ``[lo, hi)`` of ``text`` that one map task scans.
-
-    In this process a run refers to the caller's ``text``, so dealing runs
-    copies no input byte.  Pickled for a process worker, it carries only
+    """The whole chunks ``[lo, hi)`` of the bytes ``data`` that one map task
+    scans.  In this process a run refers to the caller's buffer, so dealing
+    runs copies no input byte.  Pickled for a process worker, it carries only
     its own bytes, rebased to start at 0, and ``base``, the offset they
     were cut at.  ``lo`` is a multiple of ``size``, so its chunks are the
     plan's chunks.
     """
 
-    __slots__ = ("text", "lo", "hi", "size", "base")
+    __slots__ = ("data", "lo", "hi", "size", "base")
 
-    def __init__(self, text: ByteText, lo: int, hi: int, size: int, base: int = 0) -> None:
-        self.text, self.lo, self.hi, self.size, self.base = text, lo, hi, size, base
+    def __init__(self, data: bytes, lo: int, hi: int, size: int, base: int = 0) -> None:
+        self.data, self.lo, self.hi, self.size, self.base = data, lo, hi, size, base
 
     def __reduce__(self) -> tuple:
-        piece = ByteText(self.text.data[self.lo : self.hi])
+        piece = self.data[self.lo : self.hi]
         return _Run, (piece, 0, self.hi - self.lo, self.size, self.base + self.lo)
 
 
-def _scan_run(target: ByteText, run: _Run) -> tuple:
-    """One map task: scan each chunk of ``run`` on its own, fold the windows
-    inline, and return the run's window moved by ``base`` to absolute
-    offsets, in :func:`~parmatch.matcher.ship`'s form.  :func:`to_sm_par`
-    deals no empty run, so there is at least one window to fold.
+def _scan_run(tg: bytes, run: _Run) -> tuple:
+    """One map task: scan each chunk of ``run`` for the bytes ``tg`` on its
+    own, fold the windows inline, and return the run's window moved by
+    ``base`` to absolute offsets, in :func:`~parmatch.matcher.ship`'s form.
+    :func:`to_sm_par` deals no empty run: there is a window to fold.
     """
-    text, hi, size = run.text, run.hi, run.size
-    windows = [scan_window(text, target, lo, min(lo + size, hi))
+    data, hi, size = run.data, run.hi, run.size
+    windows = [scan_window(data, tg, lo, min(lo + size, hi))
                for lo in range(run.lo, hi, size)]
-    return ship(pmconcat(window_ops(target), 2, windows), run.base)
+    return ship(pmconcat(window_ops(tg), 2, windows), run.base)
 
 
 def to_sm_par(
@@ -120,15 +119,14 @@ def to_sm_par(
     executors keep it there), else the CPUs this process may run on.
     ``reduce_pool`` is accepted and unused; perfbench's harness passes it.
     """
-    size = plan.chunk_size
-    length = len(text)
-    n = -(-length // size)
+    size, data, tg = plan.chunk_size, text.data, target.data
+    n = -(-len(data) // size)
     workers = 1 if map_pool is None else getattr(map_pool, "_max_workers", None) or _cpu_count()
     runs = min(workers, n)
-    cuts = [k * n // runs * size for k in range(runs)] + [length]
-    dealt = [_Run(text, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
-    windows = pmap(partial(_scan_run, target), dealt, pool=map_pool)
-    return window_matcher(target, text, pmconcat(window_ops(target), 2, windows))
+    cuts = [k * n // runs * size for k in range(runs)] + [len(data)]
+    dealt = [_Run(data, lo, hi, size) for lo, hi in zip(cuts, cuts[1:])]
+    windows = pmap(partial(_scan_run, tg), dealt, pool=map_pool)
+    return window_matcher(target, text, pmconcat(window_ops(tg), 2, windows))
 
 
 def default_plan_sweep(target_length: int) -> list[ChunkPlan]:

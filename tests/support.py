@@ -15,7 +15,9 @@ indices, moved past the left input).  The library has one merge,
 
 import io
 import os
+import pickle
 import tempfile
+from concurrent.futures import Executor, Future
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +28,29 @@ from parmatch import to_sm, to_sm_par, verify_equivalence
 
 
 EMPTY = ByteText()
+
+
+class PicklingPool(Executor):
+    """Runs each task inline, as a process pool would: the task goes through
+    pickle and so does its result.  Keeps the unpickled arguments and the
+    pickled sizes of each task and of each result."""
+
+    def __init__(self, workers: int) -> None:
+        self._max_workers = workers
+        self.shipped = []
+        self.returned = []
+        self.args = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        task = pickle.dumps((fn, args))
+        self.shipped.append(len(task))
+        fn, args = pickle.loads(task)
+        self.args.append(args)
+        result = pickle.dumps(fn(*args, **kwargs))
+        self.returned.append(len(result))
+        future = Future()
+        future.set_result(pickle.loads(result))
+        return future
 
 
 def bt(value) -> ByteText:

@@ -397,11 +397,11 @@ class TestMain:
             "import os\n"
             "from parmatch import pipeline\n"
             "real = pipeline._scan_run\n"
-            "def _scan_run(target, run):\n"
+            "def _scan_run(tg, run):\n"
             "    import multiprocessing\n"
             "    if multiprocessing.parent_process() is not None:\n"
             "        os._exit(1)\n"
-            "    return real(target, run)\n"
+            "    return real(tg, run)\n"
             "pipeline._scan_run = _scan_run\n"
         )
         path = tmp_path / "large.txt"

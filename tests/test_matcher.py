@@ -29,6 +29,7 @@ from parmatch.matcher import join_windows, make_indices, scan_window, ship
 
 from support import (
     EMPTY,
+    PicklingPool,
     any_cases,
     bt,
     byte_texts,
@@ -59,7 +60,7 @@ def blocks(first, block):
 
 def full_scan(text, target):
     """The paper's ``makeSMIndices``: every good index, ascending."""
-    return flatten(make_indices(text, target, 0, len(text) - 1))
+    return flatten(make_indices(text.data, target.data, 0, len(text) - 1))
 
 
 @st.composite
@@ -91,14 +92,14 @@ class TestGoodIndex:
 
 class TestMakeIndices:
     def test_spec_example(self):
-        assert flatten(make_indices(bt("abababa"), bt("aba"), 0, 6)) == [0, 2, 4]
+        assert flatten(make_indices(b"abababa", b"aba", 0, 6)) == [0, 2, 4]
 
     def test_empty_range(self):
-        assert flatten(make_indices(bt("abababa"), bt("aba"), 5, 4)) == []
+        assert flatten(make_indices(b"abababa", b"aba", 5, 4)) == []
 
     def test_window_restricted(self):
-        assert flatten(make_indices(bt("ababcabcab"), bt("abcab"), 0, 9)) == [2, 5]
-        assert flatten(make_indices(bt("ababcabcab"), bt("abcab"), 3, 9)) == [5]
+        assert flatten(make_indices(b"ababcabcab", b"abcab", 0, 9)) == [2, 5]
+        assert flatten(make_indices(b"ababcabcab", b"abcab", 3, 9)) == [5]
 
     @given(any_windows(), st.sampled_from(BLOCKS))
     @example((bt("abc"), EMPTY, -1, 5), DEFAULT_BLOCKS)  # no first byte: every candidate
@@ -115,7 +116,7 @@ class TestMakeIndices:
         text, target, lo, hi = window
         expected = [i for i in naive_match(text, target) if lo <= i <= hi]
         with blocks(*sizes):
-            assert flatten(make_indices(text, target, lo, hi)) == expected
+            assert flatten(make_indices(text.data, target.data, lo, hi)) == expected
 
     def test_make_sm_indices_full_scan(self):
         assert full_scan(bt("abababa"), bt("aba")) == [0, 2, 4]
@@ -129,9 +130,9 @@ class TestMakeIndices:
         if hi < 0:
             return  # lemma needs lo <= mid <= hi
         mid = data.draw(st.integers(0, hi))
-        assert flatten(make_indices(text, target, 0, hi)) == (
-            flatten(make_indices(text, target, 0, mid))
-            + flatten(make_indices(text, target, mid + 1, hi))
+        text, tg = text.data, target.data
+        assert flatten(make_indices(text, tg, 0, hi)) == (
+            flatten(make_indices(text, tg, 0, mid)) + flatten(make_indices(text, tg, mid + 1, hi))
         )
 
 
@@ -153,19 +154,19 @@ class TestBlocks:
         # A one-byte target never overlaps itself, so every candidate is a
         # hit, no block skips, and each block is one list of its size.
         with blocks(2, 8):
-            segments = scan_window(bt("a" * 30), bt("a"), 0, 30)[-1]
+            segments = scan_window(b"a" * 30, b"a", 0, 30)[-1]
         assert [len(s) for s in segments] == [2, 4, 8, 8, 8]
 
     def test_a_periodic_window_is_skipped_after_the_first_block(self):
         text, target = ByteText(b"ab" * 32768), bt("ababa")
-        segments = scan_window(text, target, 0, 65536)[-1]
+        segments = scan_window(text.data, target.data, 0, 65536)[-1]
         assert [type(s) for s in segments] == [list, range]
         assert len(segments[0]) <= 128  # FIRST // 2: one block of 256 candidates
         assert flatten(segments) == naive_match(text, target)
 
     def test_a_broken_run_is_skipped_again_within_first_candidates(self):
         text, target = ByteText(b"ab" * 16384 + b"b" + b"ab" * 16384), bt("ababa")
-        segments = scan_window(text, target, 0, len(text))[-1]
+        segments = scan_window(text.data, target.data, 0, len(text))[-1]
         assert [type(s) for s in segments] == [list, range, list, range]
         assert len(segments[2]) <= 128
         assert segments[2][-1] - segments[1][-1] <= 256  # FIRST
@@ -177,7 +178,7 @@ class TestBlocks:
         for candidates, count in ((matcher.BLOCK - 1, 1), (matcher.BLOCK, 1),
                                   (matcher.BLOCK + 1, 2)):
             text = ByteText((b"abcx" * matcher.BLOCK)[: candidates + 2])
-            segments = scan_window(text, target, 0, len(text))[-1]
+            segments = scan_window(text.data, target.data, 0, len(text))[-1]
             assert len(segments) == count, candidates
             assert flatten(segments) == naive_match(text, target)
 
@@ -208,29 +209,31 @@ class TestSmallScope:
                         if len(text) <= self.TEXT_MAX:
                             self.check(text, target, spec=sizes == DEFAULT_BLOCKS)
                         elif sizes != DEFAULT_BLOCKS:  # one block of these never skips
-                            assert flat_window(scan_window(text, target, 0, len(text))) == (
+                            window = scan_window(text.data, target.data, 0, len(text))
+                            assert flat_window(window) == (
                                 0, len(text), naive_match(text, target)), (text, target, sizes)
 
     @staticmethod
     def check(text, target, spec):
         n, m = len(text), len(target)
+        data, tg = text.data, target.data
         expected = naive_match(text, target)
         for cut in range(n + 1):
-            a = scan_window(text, target, 0, cut)
-            b = scan_window(text, target, cut, n)
+            a = scan_window(data, tg, 0, cut)
+            b = scan_window(data, tg, cut, n)
             assert flat_window(a) == (
                 0, cut, expected[: bisect.bisect_right(expected, cut - max(m, 1))])
             assert flat_window(b) == (cut, n, expected[bisect.bisect_left(expected, cut) :])
-            joined = join_windows(target, a, b)
+            joined = join_windows(tg, a, b)
             assert flat_window(joined) == (0, n, expected), (text, target, cut)
             # An empty window or seam adds no segment, for the empty target too.
             assert all(len(s) for w in (a, b, joined) for s in w[-1]), (text, target, cut)
             if spec:
                 left, right = text.take(cut), text.drop(cut)
                 # Edges too, also when the operands were scanned apart.
-                apart = join_windows(target, scan_window(left, target, 0, cut),
-                                     ship(scan_window(right, target, 0, n - cut), cut))
-                whole = whole_window(scan_window(text, target, 0, n))
+                apart = join_windows(tg, scan_window(left.data, tg, 0, cut),
+                                     ship(scan_window(right.data, tg, 0, n - cut), cut))
+                whole = whole_window(scan_window(data, tg, 0, n))
                 assert whole_window(joined) == whole_window(apart) == whole, (text, target, cut)
                 assert flatten(joined[-1]) == (
                     cast_indices(target, left, right, flatten(a[-1]))
@@ -301,16 +304,18 @@ class TestIndexGroups:
     def test_shift_indices_right_lemma(self, case, left):
         right, target = case
         hi = len(right) - 1
-        shifted = shift_indices(target, left, right, flatten(make_indices(right, target, 0, hi)))
+        shifted = shift_indices(target, left, right,
+                                flatten(make_indices(right.data, target.data, 0, hi)))
         combined = left + right
-        assert shifted == flatten(make_indices(combined, target, len(left), len(left) + hi))
+        assert shifted == flatten(
+            make_indices(combined.data, target.data, len(left), len(left) + hi))
 
     @given(dense_cases(max_input=32), byte_texts(alphabet_size=2, max_size=32))
     def test_merge_new_indices_lemma(self, case, right):
         left, target = case
         combined = left + right
         merged = full_scan(left, target) + make_new_indices(left, right, target)
-        assert merged == flatten(make_indices(combined, target, 0, len(left) - 1))
+        assert merged == flatten(make_indices(combined.data, target.data, 0, len(left) - 1))
 
 
 class TestWindows:
@@ -326,17 +331,16 @@ class TestWindows:
         hi = data.draw(st.integers(lo, len(text)))
         inside = [i for i in naive_match(text, target) if lo <= i and i + len(target) <= hi
                   and i < hi]
-        assert flat_window(scan_window(text, target, lo, hi)) == (lo, hi, inside)
+        assert flat_window(scan_window(text.data, target.data, lo, hi)) == (lo, hi, inside)
 
     @given(dense_cases(), st.data())
     def test_join_of_adjacent_windows_scans_their_union(self, case, data):
         # Includes empty windows and windows shorter than the target.
-        text, target = case
+        text, tg = case[0].data, case[1].data
         lo, mid, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(3))
-        joined = join_windows(target, scan_window(text, target, lo, mid),
-                              scan_window(text, target, mid, hi))
-        assert flat_window(joined) == flat_window(scan_window(text, target, lo, hi))
-        assert whole_window(joined) == whole_window(scan_window(text, target, lo, hi))
+        joined = join_windows(tg, scan_window(text, tg, lo, mid), scan_window(text, tg, mid, hi))
+        assert flat_window(joined) == flat_window(scan_window(text, tg, lo, hi))
+        assert whole_window(joined) == whole_window(scan_window(text, tg, lo, hi))
 
     @given(dense_cases(), st.data())
     def test_join_of_windows_scanned_apart_scans_their_union(self, case, data):
@@ -344,23 +348,23 @@ class TestWindows:
         # right one is shipped to absolute offsets: the join has no shared
         # buffer to read, at every cut, next to operands shorter than m - 1
         # bytes and at both ends.
-        text, target = case
-        n, m = len(text), len(target)
+        text, tg = case[0].data, case[1].data
+        n, m = len(text), len(tg)
         mid = data.draw(st.one_of(st.integers(0, n), st.sampled_from(
             [0, n, min(max(m - 2, 0), n), max(n - m + 2, 0)])))
-        left = scan_window(ByteText(text.data[:mid]), target, 0, mid)
-        right = ship(scan_window(ByteText(text.data[mid:]), target, 0, n - mid), mid)
-        joined = join_windows(target, left, right)
-        assert whole_window(joined) == whole_window(scan_window(text, target, 0, n))
+        left = scan_window(text[:mid], tg, 0, mid)
+        right = ship(scan_window(text[mid:], tg, 0, n - mid), mid)
+        joined = join_windows(tg, left, right)
+        assert whole_window(joined) == whole_window(scan_window(text, tg, 0, n))
 
     def test_join_keeps_the_operands_segments(self):
         # A join copies no index: its segments are the operands' own
         # objects around the seam's, and a periodic run stays a range.
         text, target = bt("ab" * 6000), bt("ababa")
         for mid in (4, 6001, 6002, 11995):
-            a = scan_window(text, target, 0, mid)
-            b = scan_window(text, target, mid, len(text))
-            joined = join_windows(target, a, b)
+            a = scan_window(text.data, target.data, 0, mid)
+            b = scan_window(text.data, target.data, mid, len(text))
+            joined = join_windows(target.data, a, b)
             assert any(type(segment) is range for segment in a[-1] + b[-1]), mid
             assert all(x is y for x, y in zip(joined[-1], a[-1])), mid
             assert all(x is y for x, y in zip(reversed(joined[-1]), reversed(b[-1]))), mid
@@ -372,47 +376,49 @@ class TestWindows:
         # The paper's newIsNullLeft and newIsNullRight: the seam next to an
         # empty operand is shorter than the target, or inverted for the
         # empty target, so it lists nothing.
-        text, target = case
+        text, tg = case[0].data, case[1].data
         lo, hi = sorted(data.draw(st.integers(0, len(text))) for _ in range(2))
-        window = scan_window(text, target, lo, hi)
+        window = scan_window(text, tg, lo, hi)
         before, after = (lo, lo, b"", b"", []), (hi, hi, b"", b"", [])
-        assert flat_window(join_windows(target, before, window)) == flat_window(window)
-        assert flat_window(join_windows(target, window, after)) == flat_window(window)
-        assert whole_window(join_windows(target, before, window)) == whole_window(window)
-        assert whole_window(join_windows(target, window, after)) == whole_window(window)
+        assert flat_window(join_windows(tg, before, window)) == flat_window(window)
+        assert flat_window(join_windows(tg, window, after)) == flat_window(window)
+        assert whole_window(join_windows(tg, before, window)) == whole_window(window)
+        assert whole_window(join_windows(tg, window, after)) == whole_window(window)
 
     @given(dense_cases(), st.data())
     def test_joins_of_adjacent_triples_associate(self, case, data):
         # Only adjacent windows join, so windows form a category: both
         # groupings of [a, b), [b, c), [c, d) list the scan of [a, d).
-        text, target = case
+        text, tg = case[0].data, case[1].data
         a, b, c, d = sorted(data.draw(st.integers(0, len(text))) for _ in range(4))
-        x, y, z = (scan_window(text, target, lo, hi) for lo, hi in ((a, b), (b, c), (c, d)))
-        join = partial(join_windows, target)
-        expected = flat_window(scan_window(text, target, a, d))
+        x, y, z = (scan_window(text, tg, lo, hi) for lo, hi in ((a, b), (b, c), (c, d)))
+        join = partial(join_windows, tg)
+        expected = flat_window(scan_window(text, tg, a, d))
         assert flat_window(join(join(x, y), z)) == expected
         assert flat_window(join(x, join(y, z))) == expected
-        whole = whole_window(scan_window(text, target, a, d))
+        whole = whole_window(scan_window(text, tg, a, d))
         assert whole_window(join(join(x, y), z)) == whole
         assert whole_window(join(x, join(y, z))) == whole
 
 
 class TestOneScan:
     """Every index list is a window scan: ``scan_window`` is the only caller
-    of the scan ``make_indices``, and a join scans only its seam."""
+    of the scan ``make_indices``, and a join scans only its seam.  The
+    window layer works on ``bytes``: ``ByteText`` stays at the public API."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """Each kernel call as ``(caller, caller's caller, start positions)``."""
+        """Each kernel call as ``(caller, caller's caller, start positions,
+        (type of data, type of tg))``."""
         calls = []
         real = matcher.make_indices
 
-        def recording(text, target, lo, hi):
-            last = min(hi, len(text) - max(len(target), 1))
+        def recording(data, tg, lo, hi):
+            last = min(hi, len(data) - max(len(tg), 1))
             caller = sys._getframe(1)
             calls.append((caller.f_code.co_name, caller.f_back.f_code.co_name,
-                          max(last + 1 - max(lo, 0), 0)))
-            return real(text, target, lo, hi)
+                          max(last + 1 - max(lo, 0), 0), (type(data), type(tg))))
+            return real(data, tg, lo, hi)
 
         monkeypatch.setattr(matcher, "make_indices", recording)
         return calls
@@ -433,7 +439,30 @@ class TestOneScan:
                         result = to_sm_par(ChunkPlan(2, size), text, target, pool_or_none)
                         assert list(result.indices) == expected
         assert scans
-        assert {caller for caller, _, _ in scans} == {"scan_window"}
+        assert {caller for caller, *_ in scans} == {"scan_window"}
+
+    def test_every_path_gives_the_kernel_bytes(self, scans):
+        # Each public entry point unwraps its ByteText values once, so every
+        # scan, a pickled map task's and a join's seam scan too, reads bytes.
+        text, target = ByteText(b"abaababaab" * 20), bt("aba")
+        data, tg = text.data, target.data
+        expected = naive_match(text, target)
+        with ThreadPoolExecutor(max_workers=2) as threads:
+            paths = {"to_sm": partial(to_sm, text, target),
+                     "sm_append": lambda: sm_append(to_sm(text.take(7), target),
+                                                    to_sm(text.drop(7), target))}
+            for name, pool in (("inline", None), ("threaded", threads),
+                               ("pickled", PicklingPool(2))):
+                paths[name] = partial(to_sm_par, ChunkPlan(2, 3), text, target, pool)
+            for name, path in paths.items():
+                scans.clear()
+                assert list(path().indices) == expected, name
+                assert scans and {types for *_, types in scans} == {(bytes, bytes)}, name
+        scans.clear()
+        joined = join_windows(tg, scan_window(data, tg, 0, 7), scan_window(data, tg, 7, len(data)))
+        assert flatten(joined[-1]) == expected
+        assert "join_windows" in {outer for _, outer, _, _ in scans}
+        assert {types for *_, types in scans} == {(bytes, bytes)}
 
     def test_a_join_scans_at_most_m_minus_one_positions(self, scans):
         text = bt("abaababaab")
@@ -442,11 +471,11 @@ class TestOneScan:
             for hi in range(len(text) + 1):
                 for mid in range(hi + 1):
                     for lo in range(mid + 1):
-                        left = scan_window(text, target, lo, mid)
-                        right = scan_window(text, target, mid, hi)
+                        left = scan_window(text.data, target.data, lo, mid)
+                        right = scan_window(text.data, target.data, mid, hi)
                         scans.clear()
-                        join_windows(target, left, right)
-                        seam = [n for caller, outer, n in scans
+                        join_windows(target.data, left, right)
+                        seam = [n for caller, outer, n, _ in scans
                                 if "join_windows" in (caller, outer)]
                         assert len(seam) == len(scans) <= 1
                         assert sum(seam) <= bound, (target, lo, mid, hi)

@@ -23,7 +23,7 @@ from parmatch import matcher, pipeline
 from parmatch.matcher import window_ops
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
-from support import bt, flat_window, flatten
+from support import PicklingPool, bt, flat_window, flatten
 
 
 class CountingPool(Executor):
@@ -56,32 +56,9 @@ class RunRecorder(Executor):
         return future
 
 
-class PicklingPool(Executor):
-    """Runs each task inline, as a process pool would: the task goes through
-    pickle and so does its result.  Keeps the unpickled arguments and the
-    pickled sizes of each task and of each result."""
-
-    def __init__(self, workers: int) -> None:
-        self._max_workers = workers
-        self.shipped = []
-        self.returned = []
-        self.args = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        task = pickle.dumps((fn, args))
-        self.shipped.append(len(task))
-        fn, args = pickle.loads(task)
-        self.args.append(args)
-        result = pickle.dumps(fn(*args, **kwargs))
-        self.returned.append(len(result))
-        future = Future()
-        future.set_result(pickle.loads(result))
-        return future
-
-
 def run_bytes(run) -> bytes:
     """The input bytes a run covers."""
-    return run.text.data[run.lo : run.hi]
+    return run.data[run.lo : run.hi]
 
 
 class TestChunkPlan:
@@ -145,7 +122,7 @@ class TestDispatch:
                 assert threads.submits == 0, plan
                 assert processes.shipped == [] and processes.returned == [], plan
         scans = []
-        monkeypatch.setattr(pipeline, "_scan_run", lambda target, run: scans.append(run))
+        monkeypatch.setattr(pipeline, "_scan_run", lambda tg, run: scans.append(run))
         for plan in default_plan_sweep(len(target)):
             assert to_sm_par(plan, text, target) == sequential, plan
         assert scans == []
@@ -198,9 +175,9 @@ class TestDispatch:
         runs = []
         scan_run = pipeline._scan_run
 
-        def recording_scan_run(target, run):
+        def recording_scan_run(tg, run):
             runs.append(run)
-            return scan_run(target, run)
+            return scan_run(tg, run)
 
         sizes = (1, 7, 64, n // 2, n, n + 5)
         with monkeypatch.context() as patched, ThreadPoolExecutor(workers) as threads:
@@ -208,14 +185,14 @@ class TestDispatch:
             for size, pool in itertools.product(sizes, (None, threads)):
                 runs.clear()
                 assert to_sm_par(ChunkPlan(2, size), text, target, pool) == to_sm(text, target)
-                assert runs and all(run.text.data is text.data for run in runs), size
+                assert runs and all(run.data is text.data for run in runs), size
         for size in sizes:
             processes = PicklingPool(workers)
             assert to_sm_par(ChunkPlan(2, size), text, target, processes) == to_sm(text, target)
             shipped = [run for (run,) in processes.args]
-            assert sum(len(run.text) for run in shipped) == n, size
-            assert all(run.lo == 0 and run.hi == len(run.text) for run in shipped), size
-            assert b"".join(run.text.data for run in shipped) == text.data
+            assert sum(len(run.data) for run in shipped) == n, size
+            assert all(run.lo == 0 and run.hi == len(run.data) for run in shipped), size
+            assert b"".join(run.data for run in shipped) == text.data
 
     @pytest.mark.parametrize("plan", default_plan_sweep(8), ids=str)
     def test_map_tasks_ship_linear_bytes(self, plan):
@@ -255,14 +232,14 @@ class TestDispatch:
         # Each run starts inside the text: to_sm_par deals no empty run.
         text = ByteText(b"ab" * 48)
         target = bt("abab")
-        runs = [pipeline._Run(text, lo * size, min(hi * size, len(text)), size)
+        runs = [pipeline._Run(text.data, lo * size, min(hi * size, len(text)), size)
                 for lo, hi in ((0, 5), (5, 11), (11, 96)) if lo * size < len(text)]
         windows = []
         for run in runs:
             copy = pickle.loads(pickle.dumps(run))
-            assert copy.text.data == run_bytes(run) and copy.base == run.lo
-            window = pipeline._scan_run(target, run)
-            shipped = pipeline._scan_run(target, copy)
+            assert copy.data == run_bytes(run) and copy.base == run.lo
+            window = pipeline._scan_run(target.data, run)
+            shipped = pipeline._scan_run(target.data, copy)
             assert flat_window(shipped) == flat_window(window)
             # The receiver lists a run's segments as it unpickles them,
             # whichever process scanned it: both have one result shape.
@@ -276,7 +253,7 @@ class TestDispatch:
             windows.append(window)
         edges = [run.hi for run in runs[:-1]]
         assert any(i < edge < i + 4 for edge in edges for i in naive_match(text, target))
-        segments = pmconcat(window_ops(target), 2, windows)[-1]
+        segments = pmconcat(window_ops(target.data), 2, windows)[-1]
         assert tuple(flatten(segments)) == to_sm(text, target).indices
 
     def test_runs_in_process_list_each_index_once(self, monkeypatch):
