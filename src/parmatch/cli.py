@@ -20,6 +20,7 @@ import contextlib
 import errno
 import os
 import sys
+from itertools import islice
 
 from .bytetext import ByteText
 from .matcher import to_sm
@@ -36,9 +37,11 @@ EXIT_DIVERGENCE = 3
 EXIT_INTERRUPT = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for it
 
-# Indices per write in text mode.  One write per index costs more than the
-# scan; one write of everything lets a closed pipe pass unnoticed, because
-# the kernel reports a short write rather than an error.
+# Indices per write in text mode, taken in turn from one iterator over the
+# matcher's indices, so printing holds one block of ints however many hits
+# there are.  One write per index costs more than the scan; one write of
+# everything lets a closed pipe pass unnoticed, because the kernel reports
+# a short write rather than an error.
 INDEX_BLOCK = 8192
 
 # Smallest input that --processes scans on the pool; smaller ones run the
@@ -100,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
              f"used from {PAR_MIN_BYTES} bytes of input on; also sets the default chunk size, "
              f"except for an input that --mode par scans inline",
     )
-    parser.add_argument("--json", action="store_true", help="emit one JSON object per input")
+    parser.add_argument("--json", action="store_true",
+                        help="emit one JSON object per input; it holds every index in memory")
     parser.add_argument(
         "--processes", action="store_true",
         help=f"scan chunks in a process pool instead of inline; the pool starts at the "
@@ -258,14 +262,14 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 _write_json(out, {
                     "path": path,
                     "target_length": len(target),
-                    "indices": indices,
+                    "indices": list(indices),
                     "count": len(indices),
                     "mode": args.mode,
                     "timings_ms": timings,
                 })
             else:
-                for start in range(0, len(indices), INDEX_BLOCK):
-                    block = indices[start : start + INDEX_BLOCK]  # a tuple, as % needs
+                hits = iter(indices)
+                while block := tuple(islice(hits, INDEX_BLOCK)):  # a tuple, as % needs
                     out.write("%d\n" * len(block) % block)
                 print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH

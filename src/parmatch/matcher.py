@@ -36,8 +36,9 @@ indices as *segments*, a list of ascending ``list`` and ``range`` objects:
 a run stays a ``range`` (O(1) to store, shift or pickle) through every
 join, which concatenates segment lists and copies no index.  Only this
 module reads segments.  :func:`ship` moves a window into the form a map
-task returns, and :func:`window_matcher` lists a window's segments once,
-into a matcher's ``indices`` tuple.
+task returns, and :func:`window_matcher` wraps a window's segments,
+unlisted, as a matcher's :class:`Indices`, a read-only sequence of ints
+(the rope idea of Boehm, Atkinson and Plass).
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -46,7 +47,11 @@ differential-test everything else.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from functools import partial
+from itertools import accumulate, chain
+from operator import eq
 
 from .bytetext import ByteText, Value, chunkable_ops
 from .monoid import MonoidOps, MorphismWitness
@@ -68,7 +73,7 @@ def make_indices(data: bytes, tg: bytes, lo: int, hi: int) -> list:
     """All good indices of the bytes ``tg`` in the bytes ``data`` within
     ``[lo, hi]``, as segments: a list of ascending runs of indices, each a
     ``list`` of the candidates the scan compared or a ``range`` of the hits
-    it skipped to.  Their concatenation (:func:`_expand`) is the index list.
+    it skipped to.  Their concatenation (:class:`Indices`) is the index list.
 
     An empty range (``hi < lo``) lists no index and no segment, and
     ``len(data)`` is no index, even for the empty target.  A negative
@@ -96,7 +101,7 @@ def make_indices(data: bytes, tg: bytes, lo: int, hi: int) -> list:
     listed hit, or at the block's end if none was listed.  The last block
     needs no skip: its last hit is the last one in ``[lo, hi]``.  A block
     with hits is one ``list`` segment and a skipped run one ``range``, so
-    a periodic run costs O(1) memory until :func:`_expand` lists it.
+    a periodic run costs O(1) memory until a reader iterates it.
 
     Block sizes double, as in Bentley and Yao's unbounded search: a
     window's first block is :data:`FIRST` candidates, each later one twice
@@ -183,26 +188,73 @@ def _periodic_end(data: bytes, stop: int, q: int, cap: int) -> int:
     return stop
 
 
+class Indices(Sequence):
+    """The ints that ``segments`` list in order, as a read-only sequence
+    that keeps the segments and never lists them: it iterates them in
+    turn, finds an index by bisecting their cumulative lengths, builds a
+    tuple only for a slice, and equals, hashes and prints as the tuple of
+    its ints, whatever the segmentation."""
+
+    __slots__ = ("_segments", "_starts")
+
+    def __init__(self, segments: list) -> None:
+        self._segments = segments
+        self._starts = list(accumulate(map(len, segments), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        return chain.from_iterable(self._segments)
+
+    def __getitem__(self, key):
+        at = range(len(self))[key]
+        if type(at) is range:  # a slice
+            return tuple(map(self.__getitem__, at))
+        k = bisect_right(self._starts, at) - 1
+        return self._segments[k][at - self._starts[k]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Indices, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class StringMatcher(Value):
     """Input text plus the sorted good indices of a fixed target.
 
     Invariant: ``indices`` is strictly increasing and each entry is a good
     index of ``target`` in ``text``.  Matchers produced by :func:`to_sm`
     are additionally complete (they list *every* good index); completeness
-    is preserved by :func:`sm_append`.
+    is preserved by :func:`sm_append`.  ``indices`` is held as an
+    :class:`Indices`, and pickles as its segments.
     """
 
     __slots__ = ("target", "text", "indices")
 
-    def __init__(self, target: ByteText, text: ByteText, indices: tuple[int, ...]) -> None:
+    def __init__(self, target: ByteText, text: ByteText, indices: Sequence[int]) -> None:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "text", text)
+        if type(indices) is not Indices:
+            indices = Indices([indices])
         object.__setattr__(self, "indices", indices)
+
+    def __reduce__(self) -> tuple:
+        return StringMatcher, (self.target, self.text, ()), self.indices._segments
+
+    def __setstate__(self, segments: list) -> None:
+        object.__setattr__(self, "indices", Indices(segments))
 
 
 def sm_empty(target: ByteText) -> StringMatcher:
     """The identity matcher: empty input, no indices."""
-    return StringMatcher(target, ByteText(), ())
+    return StringMatcher(target, ByteText(), Indices([]))
 
 
 def scan_window(data: bytes, tg: bytes, lo: int, hi: int) -> tuple:
@@ -273,46 +325,22 @@ def _shift(segments: list, offset: int) -> list:
             else [i + offset for i in s] for s in segments]
 
 
-def _expand(segments: list) -> list[int]:
-    """The indices that ``segments`` list, in order, as one new list."""
-    indices: list[int] = []
-    for segment in segments:
-        indices += segment
-    return indices
-
-
-def _flatten(segments: list) -> list:
-    """``segments`` as one ``list`` segment: :class:`_Shipped`'s unpickler."""
-    return [_expand(segments)]
-
-
-class _Shipped(list):
-    """Segments that unpickle as :func:`_flatten`'s one ``list`` segment."""
-
-    __slots__ = ()
-
-    def __reduce__(self) -> tuple:
-        return _flatten, (list(self),)
-
-
 def ship(window: tuple, base: int) -> tuple:
     """``window`` moved by ``base``, in the form every map task returns.
 
     Its edges, at most ``m - 1`` bytes each, go as they are.  Its
-    segments move as :func:`_shift` moves them, a ``range`` in O(1),
-    and travel as :class:`_Shipped`: pickled, they go as they are, so a
-    periodic run crosses a process pipe as a ``range``, not one int per
-    hit, and the receiving process lists them as it unpickles them.  In
-    the process that made them they stay plain segments, which
-    :func:`window_matcher` lists like any others.
+    segments move as :func:`_shift` moves them, a ``range`` in O(1), and
+    stay plain segments: pickled, a periodic run crosses a process pipe
+    as a ``range``, not one int per hit, and arrives as one.
     """
     lo, hi, head, tail, segments = window
-    return lo + base, hi + base, head, tail, _Shipped(_shift(segments, base))
+    return lo + base, hi + base, head, tail, _shift(segments, base)
 
 
 def window_matcher(target: ByteText, text: ByteText, window: tuple) -> StringMatcher:
-    """The matcher of ``text`` whose indices ``window`` lists, each listed once."""
-    return StringMatcher(target, text, tuple(_expand(window[-1])))
+    """The matcher of ``text`` whose :class:`Indices` wrap ``window``'s
+    segments, none of them listed."""
+    return StringMatcher(target, text, Indices(window[-1]))
 
 
 def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
@@ -325,7 +353,8 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
     inputs as adjacent windows of their concatenation.  The test suite
     states the paper's three lemma functions (cast, new, shift) in
     ``tests/support.py`` and checks this merge against their
-    concatenation.  An operand with empty text is the identity.
+    concatenation.  An operand with empty text is the identity.  It splices
+    the operands' segment lists: no :class:`Indices` nests in another.
     """
     if a.target != b.target:
         raise TargetMismatchError(
@@ -333,8 +362,8 @@ def sm_append(a: StringMatcher, b: StringMatcher) -> StringMatcher:
         )
     combined = a.text + b.text
     data, tg, split = combined.data, a.target.data, len(a.text.data)
-    left = _window(data, tg, 0, split, [a.indices])
-    right = _window(data, tg, split, len(data), _shift([b.indices], split))
+    left = _window(data, tg, 0, split, a.indices._segments)
+    right = _window(data, tg, split, len(data), _shift(b.indices._segments, split))
     return window_matcher(a.target, combined, join_windows(tg, left, right))
 
 

@@ -79,7 +79,8 @@ class _Run:
 def _scan_run(tg: bytes, run: _Run) -> tuple:
     """One map task: scan each chunk of ``run`` for the bytes ``tg`` on its
     own, fold the windows inline, and return the run's window moved by
-    ``base`` to absolute offsets, in :func:`~parmatch.matcher.ship`'s form.
+    ``base`` to absolute offsets, in :func:`~parmatch.matcher.ship`'s form:
+    its segments unlisted, so a periodic run returns as a ``range``.
     :func:`to_sm_par` deals no empty run: there is a window to fold.
     """
     data, hi, size = run.data, run.hi, run.size

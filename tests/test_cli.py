@@ -501,6 +501,32 @@ class TestTextOutput:
         assert err.getvalue() == f"count={count}\n"
 
 
+class TestDenseOutputMemory:
+    def test_peak_rss_does_not_grow_with_the_hits(self, tmp_path):
+        # Zero bytes with target 00000000 hit at every offset but the last
+        # three, so 4 MiB prints 3 Mi more lines than 1 MiB.  Each run is
+        # the only child of a fresh wrapper process, so RUSAGE_CHILDREN
+        # reads that CLI's own peak (in KiB on Linux).
+        def peak_kib(mib):
+            path = tmp_path / f"zeros-{mib}.bin"
+            path.write_bytes(bytes(mib << 20))
+            argv = [sys.executable, "-m", "parmatch.cli", "--mode", "seq",
+                    "--target-hex", "00000000", "--input", str(path)]
+            code = (
+                "import os, resource, subprocess\n"
+                "with open(os.devnull, 'wb') as sink:\n"
+                f"    subprocess.run({argv!r}, stdout=sink, check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            )
+            wrapper = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                                     capture_output=True, timeout=120)
+            assert wrapper.returncode == 0, wrapper.stderr.decode(errors="replace")
+            assert wrapper.stderr == f"count={(mib << 20) - 3}\n".encode()
+            return int(wrapper.stdout)
+
+        assert peak_kib(4) - peak_kib(1) < 32 * 1024
+
+
 class TestJsonOutput:
     @pytest.mark.parametrize("count", EDGE_COUNTS)
     def test_match_report_is_one_write(self, periodic, count):

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from parmatch import (
     to_sm_witness,
 )
 from parmatch import matcher
-from parmatch.matcher import join_windows, make_indices, scan_window, ship
+from parmatch.matcher import Indices, join_windows, make_indices, scan_window, ship
 
 from support import (
     EMPTY,
@@ -549,6 +550,55 @@ class TestMatcherMonoid:
         rng = random.Random(43)
         gen = lambda: ByteText(bytes(rng.choice(b"abc") for _ in range(rng.randrange(64))))
         assert check_morphism(to_sm_witness(bt("abc")), gen, trials=300).ok
+
+
+def segmentations():
+    """Segment lists, the empty one included: ``list`` blocks and ``range``
+    runs of step q, either of them possibly empty."""
+    runs = st.builds(range, st.integers(-20, 20), st.integers(-20, 60), st.integers(1, 5))
+    return st.lists(st.one_of(st.lists(st.integers(-99, 99), max_size=6), runs), max_size=6)
+
+
+class TestIndices:
+    """An :class:`Indices` behaves as the tuple of its segments' expansion."""
+
+    @given(segmentations())
+    def test_reads_as_the_tuple(self, segments):
+        indices, expected = Indices(segments), tuple(flatten(segments))
+        n = len(expected)
+        assert len(indices) == n
+        assert tuple(iter(indices)) == expected
+        assert list(reversed(indices)) == list(reversed(expected))
+        for i in range(-n - 2, n + 2):
+            if -n <= i < n:
+                assert indices[i] == expected[i]
+            else:
+                with pytest.raises(IndexError):
+                    indices[i]
+        bounds = [None, -n - 2, -n, -1, 0, 1, n // 2, n, n + 2]
+        for start, stop, step in itertools.product(bounds, bounds, [None, -3, -1, 1, 2]):
+            cut = slice(start, stop, step)
+            assert indices[cut] == expected[cut] and type(indices[cut]) is tuple, cut
+        for sequence in (expected, indices):
+            with pytest.raises(ValueError):
+                sequence[::0]
+
+    @given(segmentations(), segmentations())
+    def test_compares_hashes_prints_and_pickles_as_the_tuple(self, segments, others):
+        indices, expected = Indices(segments), tuple(flatten(segments))
+        other = tuple(flatten(others))
+        regrouped = Indices([list(expected[i : i + 2]) for i in range(0, len(expected), 2)])
+        for a, b in ((indices, expected), (indices, regrouped)):
+            assert a == b and b == a and not a != b and not b != a
+        for b in (other, Indices(others)):
+            assert (indices == b) == (b == indices) == (expected == other)
+            assert (indices != b) == (b != indices) == (expected != other)
+        assert indices != list(expected) and list(expected) != indices
+        assert hash(indices) == hash(expected) == hash(regrouped)
+        assert repr(indices) == repr(expected)
+        copy = pickle.loads(pickle.dumps(indices))
+        assert type(copy) is Indices and copy == expected
+        assert copy._segments == segments  # list == list, range == range
 
 
 class TestEmptyTargetSemantics:

@@ -5,7 +5,8 @@ import os
 import pickle
 import random
 import threading
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing import get_context
 
 import pytest
 
@@ -19,7 +20,7 @@ from parmatch import (
     to_sm_par,
     verify_equivalence,
 )
-from parmatch import matcher, pipeline
+from parmatch import pipeline
 from parmatch.matcher import window_ops
 from parmatch.pipeline import _cpu_count, default_plan_sweep, first_divergence
 
@@ -241,10 +242,10 @@ class TestDispatch:
             window = pipeline._scan_run(target.data, run)
             shipped = pipeline._scan_run(target.data, copy)
             assert flat_window(shipped) == flat_window(window)
-            # The receiver lists a run's segments as it unpickles them,
-            # whichever process scanned it: both have one result shape.
-            assert len(pickle.loads(pickle.dumps(shipped))[-1]) == 1
-            assert len(pickle.loads(pickle.dumps(window))[-1]) == 1
+            # A run's segments cross the pipe as they are, ranges included,
+            # whichever process scanned it: list == list and range == range.
+            assert pickle.loads(pickle.dumps(shipped))[-1] == window[-1]
+            assert pickle.loads(pickle.dumps(window))[-1] == window[-1]
             # Its edges cross the pipe as they are.
             assert pickle.loads(pickle.dumps(shipped))[2:4] == window[2:4]
             lo, hi, indices = flat_window(window)
@@ -256,24 +257,19 @@ class TestDispatch:
         segments = pmconcat(window_ops(target.data), 2, windows)[-1]
         assert tuple(flatten(segments)) == to_sm(text, target).indices
 
-    def test_runs_in_process_list_each_index_once(self, monkeypatch):
-        # Inline and thread runs return their segments unlisted, and the
-        # caller lists them once, into the result's tuple.
-        calls = []
-        expand = matcher._expand
-
-        def counting_expand(segments):
-            calls.append(len(segments))
-            return expand(segments)
-
-        monkeypatch.setattr(matcher, "_expand", counting_expand)
-        text, target, plan = ByteText(b"ab" * 4096), bt("ababa"), ChunkPlan(2, 1024)
+    def test_no_path_lists_an_index(self):
+        # Inline, thread and process runs return their segments unlisted,
+        # and the result keeps them.  The first chunk, 6 KiB, holds more
+        # than one block of candidates, so its periodic run stays a range;
+        # a path that listed its indices would leave no range.
+        text, target, plan = ByteText(b"ab" * 4096), bt("ababa"), ChunkPlan(2, 6144)
         expected = to_sm(text, target)
-        with ThreadPoolExecutor(2) as threads:
-            for pool in (None, threads):
-                calls.clear()
-                assert to_sm_par(plan, text, target, pool) == expected
-                assert len(calls) == 1, pool
+        with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as processes, \
+                ThreadPoolExecutor(2) as threads:
+            for pool in (None, threads, processes):
+                result = to_sm_par(plan, text, target, pool)
+                assert result == expected
+                assert any(type(s) is range for s in result.indices._segments), pool
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_verify_equivalence_submits_at_most_one_task_per_worker(self, workers):
@@ -291,7 +287,7 @@ class TestDispatch:
 class TestBoundary:
     def test_pipeline_imports_no_private_matcher_name(self):
         # Only matcher knows what a segment is: pipeline ships windows and
-        # lists them into matchers through matcher's public operations.
+        # wraps them in matchers through matcher's public operations.
         with open(pipeline.__file__, encoding="utf-8") as source:
             tree = ast.parse(source.read())
         names = [alias.name for node in ast.walk(tree)
