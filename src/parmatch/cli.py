@@ -20,7 +20,6 @@ import contextlib
 import errno
 import os
 import sys
-from itertools import islice
 
 from .bytetext import ByteText
 from .matcher import to_sm
@@ -37,11 +36,11 @@ EXIT_DIVERGENCE = 3
 EXIT_INTERRUPT = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for it
 
-# Indices per write in text mode, taken in turn from one iterator over the
-# matcher's indices, so printing holds one block of ints however many hits
-# there are.  One write per index costs more than the scan; one write of
-# everything lets a closed pipe pass unnoticed, because the kernel reports
-# a short write rather than an error.
+# Indices per write in text mode: Indices.lines prints them a block at a
+# time, so printing holds one block's text however many hits there are.
+# One write per index costs more than the scan; one write of everything
+# lets a closed pipe pass unnoticed, because the kernel reports a short
+# write rather than an error.
 INDEX_BLOCK = 8192
 
 # Smallest input that --processes scans on the pool; smaller ones run the
@@ -268,9 +267,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                     "timings_ms": timings,
                 })
             else:
-                hits = iter(indices)
-                while block := tuple(islice(hits, INDEX_BLOCK)):  # a tuple, as % needs
-                    out.write("%d\n" * len(block) % block)
+                for block in indices.lines(INDEX_BLOCK):
+                    out.write(block)
                 print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:

@@ -26,6 +26,7 @@ from parmatch import (
     to_sm_witness,
 )
 from parmatch import matcher
+from parmatch.cli import INDEX_BLOCK
 from parmatch.matcher import Indices, join_windows, make_indices, scan_window, ship
 
 from support import (
@@ -144,6 +145,37 @@ class TestPeriod:
             for word in itertools.product(b"abc", repeat=m):
                 tg = bytes(word)
                 assert matcher._period(tg) == period(tg), tg
+
+
+class SliceRecorder(bytes):
+    """Bytes that record the length of every slice taken of them."""
+
+    def __init__(self, data: bytes) -> None:
+        self.lengths: list[int] = []
+
+    def __getitem__(self, key):
+        part = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.lengths.append(len(part))
+        return part
+
+
+class TestPeriodicEnd:
+    """A run is skipped by compares of at most ``SKIP_STEP`` bytes, and ends
+    where a byte-by-byte walk ends."""
+
+    @pytest.mark.parametrize("run", [0, 1, 5, matcher.SKIP_STEP - 1, matcher.SKIP_STEP,
+                                     matcher.SKIP_STEP + 1, 3 * matcher.SKIP_STEP + 7])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_slices_stay_within_the_step_and_end_where_the_period_breaks(self, run, q):
+        plain = (b"abc"[:q] * (run // q + 2))[: q + run] + b"x" + b"abc" * 4
+        for cap in (len(plain), q + run // 2, q + run + 1):
+            data = SliceRecorder(plain)
+            stop = q
+            while stop < cap and plain[stop] == plain[stop - q]:
+                stop += 1
+            assert matcher._periodic_end(data, q, q, cap) == stop
+            assert max(data.lengths, default=0) <= matcher.SKIP_STEP
 
 
 class TestBlocks:
@@ -599,6 +631,37 @@ class TestIndices:
         copy = pickle.loads(pickle.dumps(indices))
         assert type(copy) is Indices and copy == expected
         assert copy._segments == segments  # list == list, range == range
+
+
+def printed_segmentations():
+    """Segment lists for :meth:`Indices.lines`: ``list`` blocks, and
+    ``range`` runs, empty ones too, of steps on both sides of the table's
+    bound, starting where a run crosses a thousand and where ``str(p)``
+    grows a digit."""
+    starts = st.sampled_from([0, 998, 999, 1000, 1001, 9_999, 999_999])
+    steps = st.integers(1, 1000 // matcher.TABLE_RUN + 8)
+    runs = st.builds(lambda start, n, step: range(start, start + n * step, step),
+                     starts, st.integers(0, 2500), steps)
+    blocks = st.lists(st.integers(0, 2 * 10**6), max_size=6)
+    return st.lists(st.one_of(blocks, runs), max_size=5)
+
+
+class TestLines:
+    """:meth:`Indices.lines` prints the ints as ``"%d\\n"`` lines, ``per``
+    to a string."""
+
+    @given(st.one_of(printed_segmentations(), segmentations()),
+           st.sampled_from([1, 7, INDEX_BLOCK]))
+    @example([range(999_000, 1_001_003, 3)], INDEX_BLOCK)
+    def test_prints_each_int_and_per_lines_to_a_string(self, segments, per):
+        pieces = list(Indices(segments).lines(per))
+        assert "".join(pieces) == "".join(f"{i}\n" for i in flatten(segments))
+        assert [piece.count("\n") for piece in pieces[:-1]] == [per] * (len(pieces) - 1)
+        assert not pieces or 0 < pieces[-1].count("\n") <= per
+
+    def test_a_string_holds_at_least_one_line(self):
+        with pytest.raises(ValueError):
+            next(Indices([range(5)]).lines(0))
 
 
 class TestEmptyTargetSemantics:
