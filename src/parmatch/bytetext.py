@@ -128,6 +128,5 @@ def chunkable_ops() -> ChunkableOps:
     return ChunkableOps(
         identity=ByteText,
         combine=ByteText.__add__,
-        length=len,
         window=lambda offset, length, text: text.substring(offset, length),
     )

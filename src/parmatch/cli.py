@@ -124,8 +124,8 @@ def _read_input(path: str, err) -> ByteText | None:
         return None
 
 
-def _ignore_sigint() -> None:
-    """Process-pool initializer: leave Ctrl-C to the parent.
+def _init_worker() -> None:
+    """Process-pool initializer: leave Ctrl-C to the parent, and end with it.
 
     A terminal sends SIGINT to the whole process group.  A worker waiting
     for its next task would die of it with a traceback; ignoring it lets
@@ -133,12 +133,25 @@ def _ignore_sigint() -> None:
     with SIGINT blocked (see ``_make_pool``), so a SIGINT that came before
     this ran is still pending: ignoring it first discards it, and only
     then is it unblocked.
+
+    A parent killed before its shutdown (SIGKILL, SIGTERM) would leave its
+    workers running with its stdout open, so a daemon thread ends the
+    worker once the parent's sentinel is ready.
     """
     # Imported here: only process-pool workers run this.
+    import multiprocessing
     import signal
+    import threading
+    from multiprocessing.connection import wait
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+    def exit_with_parent() -> None:
+        wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
 def _make_pool(workers: int) -> Executor:
@@ -150,11 +163,11 @@ def _make_pool(workers: int) -> Executor:
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
     try:
         # With the fork start method the first task forks every worker.
         # Forking them here with SIGINT blocked means no worker can take a
-        # Ctrl-C before _ignore_sigint has run; they inherit the mask.  The
+        # Ctrl-C before _init_worker has run; they inherit the mask.  The
         # task's result is not awaited: int() cannot fail, and a broken pool
         # fails the scan's own tasks.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})

@@ -3,8 +3,9 @@
 Operation records (:class:`MonoidOps`, :class:`ChunkableOps`) are plain
 classes that bundle the identity and combine functions of a monoid, so the
 same reduction and law-checking machinery runs over byte strings, string
-matchers, integers, or anything else.  A chunkable monoid adds ``length``
-and ``window``, the one cut that chunking and counterexample shrinking use.
+matchers, integers, or anything else.  A chunkable monoid is measured with
+``len`` and adds ``window``, the one cut that chunking and counterexample
+shrinking use.
 
 The two reduction paths are deliberately kept both:
 
@@ -47,20 +48,19 @@ class MonoidOps:
 
 
 class ChunkableOps(MonoidOps):
-    """A monoid whose elements can be measured, cut, and reassembled.
+    """A monoid whose elements have a ``len`` and can be cut and reassembled.
 
     ``window(i, n, x)`` is the ``n`` elements of ``x`` from position
     ``i``, the one way to cut a value.  Cutting at any ``i`` up to
-    ``length(x)`` and combining the halves must give ``x`` back:
-    ``combine(window(0, i, x), window(i, length(x) - i, x)) == x``.
+    ``len(x)`` and combining the halves must give ``x`` back:
+    ``combine(window(0, i, x), window(i, len(x) - i, x)) == x``.
     """
 
     def __init__(
         self, identity: Callable[[], T], combine: Callable[[T, T], T],
-        length: Callable[[T], int], window: Callable[[int, int, T], T],
+        window: Callable[[int, int, T], T],
     ) -> None:
         super().__init__(identity, combine)
-        self.length = length
         self.window = window
 
 
@@ -96,7 +96,7 @@ def chunk(ops: ChunkableOps, size: int, value: T) -> list[T]:
     """
     if size < 1:
         raise ValueError(f"chunk size must be >= 1, got {size}")
-    length = ops.length(value)
+    length = len(value)
     if length <= size:
         return [value]
     return [ops.window(i, min(size, length - i), value) for i in range(0, length, size)]
@@ -150,46 +150,33 @@ def pmconcat(
     return items[0] if items else ops.identity()
 
 
-class LawResult:
-    def __init__(
-        self, law: str, trials: int, passed: bool, counterexample: tuple | None = None
-    ) -> None:
-        self.law = law
-        self.trials = trials
-        self.passed = passed
-        self.counterexample = counterexample
-
-    def to_line(self) -> str:
-        line = f"law={self.law} trials={self.trials} result={'pass' if self.passed else 'fail'}"
-        if self.counterexample is not None:
-            line += f" counterexample={self.counterexample!r}"
-        return line
-
-
 class LawReport:
-    def __init__(self, results: list[LawResult]) -> None:
+    """A law check's ``results``, one row per law: ``law`` (its name),
+    ``trials``, ``passed`` and ``counterexample`` (the shrunk failing
+    arguments as a tuple, or None when the law held)."""
+
+    def __init__(self, results: list[dict]) -> None:
         self.results = results
 
     @property
     def ok(self) -> bool:
-        return all(result.passed for result in self.results)
+        return all(row["passed"] for row in self.results)
 
     def to_text(self) -> str:
-        return "\n".join(result.to_line() for result in self.results)
+        return "\n".join(
+            f"law={row['law']} trials={row['trials']} result={'pass' if row['passed'] else 'fail'}"
+            + ("" if row["counterexample"] is None else f" counterexample={row['counterexample']!r}")
+            for row in self.results
+        )
 
     def to_json(self) -> str:
         # Imported here: only callers that ask for JSON pay for loading it.
         import json
 
         return json.dumps([
-            {
-                "law": result.law,
-                "trials": result.trials,
-                "passed": result.passed,
-                "counterexample": None if result.counterexample is None
-                else [repr(part) for part in result.counterexample],
-            }
-            for result in self.results
+            {**row, "counterexample": None if row["counterexample"] is None
+             else [repr(part) for part in row["counterexample"]]}
+            for row in self.results
         ], indent=2)
 
 
@@ -202,7 +189,7 @@ def _shrink(ops: MonoidOps, witness: tuple, still_fails: Callable[[tuple], bool]
     while progress:
         progress = False
         for position, element in enumerate(current):
-            size = ops.length(element)
+            size = len(element)
             if size == 0:
                 continue
             candidate = current.copy()
@@ -220,15 +207,15 @@ def _run_law(
     holds: Callable[..., bool],
     gen: Callable[[], T],
     trials: int,
-) -> LawResult:
+) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for _ in range(trials):
         args = tuple(gen() for _ in range(arity))
         if not holds(*args):
             shrunk = _shrink(ops, args, lambda candidate: not holds(*candidate))
-            return LawResult(name, trials, False, shrunk)
-    return LawResult(name, trials, True)
+            return {"law": name, "trials": trials, "passed": False, "counterexample": shrunk}
+    return {"law": name, "trials": trials, "passed": True, "counterexample": None}
 
 
 def check_monoid_laws(ops: MonoidOps, gen: Callable[[], T], trials: int) -> LawReport:

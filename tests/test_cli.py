@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures.thread import BrokenThreadPool
@@ -329,14 +330,14 @@ class TestMain:
             "import signal, sys, time\n"
             "from parmatch import cli\n"
             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
-            "real = cli._ignore_sigint\n"
+            "real = cli._init_worker\n"
             "def ignore_late():\n"
             "    print('forked', file=sys.stderr, flush=True)\n"
             "    deadline = time.monotonic() + 60\n"
             "    while signal.SIGINT not in signal.sigpending() and time.monotonic() < deadline:\n"
             "        time.sleep(0.01)\n"
             "    real()\n"
-            "cli._ignore_sigint = ignore_late\n"
+            "cli._init_worker = ignore_late\n"
             "cli.PAR_MIN_BYTES = 0\n"
             f"sys.argv = {argv!r}\n"
             "cli.main()\n"
@@ -418,6 +419,66 @@ class TestMain:
         assert child.stdout == b""
         assert err.count("error:") == 1 and "Traceback" not in err, err
         assert "terminated abruptly" in err, err
+
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
+    def test_workers_end_with_a_killed_cli(self, tmp_path, sig):
+        # A sitecustomize module on the child's path makes each pool worker
+        # write its pid, then sleep in its scan task.  Killing the CLI gives
+        # it no shutdown, so only the workers themselves can notice.
+        pids = tmp_path / "pids"
+        (tmp_path / "sitecustomize.py").write_text(
+            "import multiprocessing, os, time\n"
+            "from parmatch import pipeline\n"
+            "real = pipeline._scan_run\n"
+            "def _scan_run(tg, run):\n"
+            "    if multiprocessing.parent_process() is not None:\n"
+            f"        with open({str(pids)!r}, 'a') as log:\n"
+            "            log.write(f'{os.getpid()}\\n')\n"
+            "        time.sleep(300)\n"
+            "    return real(tg, run)\n"
+            "pipeline._scan_run = _scan_run\n"
+        )
+        path = tmp_path / "ab.txt"
+        path.write_bytes(b"ab" * 1000)
+        workers = min(2, pipeline._cpu_count())
+        argv = ["parmatch", "--target", "aba", "--input", str(path), "--mode", "par",
+                "--processes", "--threads", str(workers)]
+        code = ("import sys\nfrom parmatch import cli\ncli.PAR_MIN_BYTES = 0\n"
+                f"sys.argv = {argv!r}\ncli.main()\n")
+        env = child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+        child = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        started = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(started) < workers and time.monotonic() < deadline:
+                time.sleep(0.01)
+                started = pids.read_text().split() if pids.exists() else []
+            assert len(started) == workers
+            child.send_signal(sig)
+            assert child.wait(timeout=60) == -sig
+            deadline = time.monotonic() + 10
+            while any(map(running, started)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(running, started)), started
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in filter(running, started):
+                try:
+                    os.kill(int(pid), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     @pytest.mark.parametrize(
         "flags, loaded",
