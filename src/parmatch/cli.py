@@ -10,7 +10,10 @@ bytes; smaller inputs scan inline.  ``--target`` is its argv bytes
 any match, 1 if none, 2 on usage or I/O errors (stdin or stdout closed
 or failing among them), a process-pool worker that died, exhausted memory
 or any other crash (which alone keeps its traceback), 3 when the two paths
-disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away.
+disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away, and
+once a process pool has started, 143 on SIGTERM and 129 on SIGHUP, which
+end its workers and shut it down (before that they end the process as
+they end any).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .monoid import TYPE_CHECKING
 from .pipeline import ChunkPlan, _cpu_count, timed, to_sm_par, verify_equivalence
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from concurrent.futures import Executor
 
 EXIT_MATCH = 0
@@ -182,6 +186,37 @@ def _make_pool(workers: int) -> Executor:
     return pool
 
 
+def _exit_on_term_and_hup() -> Callable[[], None]:
+    """Make SIGTERM and SIGHUP end the pool's workers and raise
+    ``SystemExit(128 + signum)`` in the main thread, as SIGINT raises
+    KeyboardInterrupt, so that ``run``'s ``finally`` shuts the pool down
+    before the process exits with the status a shell reports for the signal.
+
+    Unlike a Ctrl-C, these signals come to the CLI alone, and ask it to
+    end: the shutdown does not wait for a scan task, which can run for
+    seconds.  The workers are this process's only multiprocessing
+    children, and are forked before the handlers are installed, so they
+    keep the default ones.  Returns what restores the handlers it replaced.
+    """
+    # Imported here: only a run that starts a pool installs the handlers,
+    # and its pool has loaded multiprocessing already.
+    import multiprocessing
+    import signal
+
+    def exit_on(signum, frame) -> None:
+        for worker in multiprocessing.active_children():
+            worker.terminate()
+        raise SystemExit(128 + signum)
+
+    replaced = {signum: signal.signal(signum, exit_on) for signum in (signal.SIGTERM, signal.SIGHUP)}
+
+    def restore() -> None:
+        for signum, handler in replaced.items():
+            signal.signal(signum, handler)
+
+    return restore
+
+
 def _plans(args: argparse.Namespace, input_length: int, workers: int,
            pooled: bool) -> list[ChunkPlan]:
     """``--chunk``; else for ``--mode par`` one chunk per worker of the pool,
@@ -236,6 +271,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     target = ByteText(args.target)
 
     pool = None
+    restore_handlers = None
     try:
         found_any = False
         for path in args.input or ["-"]:
@@ -244,7 +280,10 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 return EXIT_USAGE
             map_pool = None
             if args.processes and args.mode != "seq" and len(text) >= PAR_MIN_BYTES:
-                map_pool = pool = pool or _make_pool(workers)
+                if pool is None:
+                    pool = _make_pool(workers)
+                    restore_handlers = _exit_on_term_and_hup()
+                map_pool = pool
             plans = _plans(args, len(text), workers, map_pool is not None)
             if args.mode == "seq":
                 matcher, seq_ms = timed(to_sm, text, target)
@@ -285,8 +324,12 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 print(f"count={len(indices)}", file=err)
         return EXIT_MATCH if found_any else EXIT_NO_MATCH
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        try:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+        finally:
+            if restore_handlers is not None:
+                restore_handlers()
 
 
 def main() -> None:

@@ -30,11 +30,12 @@ and ``to_sm_par`` unwrap the public value, :class:`ByteText`, at the edge.
 
 The scan compares candidates one by one in blocks, except where hits of a
 periodic target overlap: it then lists the run of hits that follow at the
-target's smallest period as an arithmetic progression, after a few slice
-compares, instead of one Python step per byte.  A window holds its
-indices as *segments*, a list of ascending ``list`` and ``range`` objects:
-a run stays a ``range`` (O(1) to store, shift or pickle) through every
-join, which concatenates segment lists and copies no index.  Only this
+target's smallest period as an arithmetic progression, after a few
+in-place compares of the input with itself, instead of one Python step
+per byte.  A window holds its indices as *segments*, a list of ascending
+``list`` and ``range`` objects: a run stays a ``range`` (O(1) to store,
+shift or pickle) through every join, which concatenates segment lists and
+copies no index.  Only this
 module reads segments.  :func:`ship` moves a window into the form a map
 task returns, and :func:`window_matcher` wraps a window's segments,
 unlisted, as a matcher's :class:`Indices`, a read-only sequence of ints
@@ -90,11 +91,11 @@ def make_indices(data: bytes, tg: bytes, lo: int, hi: int) -> list:
     lists the run of hits that follow ``h`` at its smallest period ``q``
     (:func:`_period`) without comparing the candidates between them.
     It grows the stretch after ``h`` in which every byte equals the byte
-    ``q`` before it, with slice compares of doubling length, up to
-    :data:`SKIP_STEP` bytes, then halving length, and lists
-    ``h + q, h + 2q, ...`` for every window inside that stretch.  A window
-    in it starts with the same ``q`` bytes as the one at ``h`` and has
-    period ``q``, so it is the target.
+    ``q`` before it, in steps of doubling, then halving, length that
+    compare the input with itself in place (:func:`_periodic_end`), so a
+    skip copies nothing, and lists ``h + q, h + 2q, ...`` for every window
+    inside that stretch.  A window in it starts with the same ``q`` bytes
+    as the one at ``h`` and has period ``q``, so it is the target.
     No position skipped between these hits can be one: it lies ``d < q``
     bytes after a listed hit, within the target's width, and two
     overlapping hits ``d`` apart give the target the period ``d``, which
@@ -169,30 +170,26 @@ def _period(tg: bytes) -> int:
     return len(tg) - k
 
 
-SKIP_STEP = 64 * 1024
-"""The longest stretch, in bytes, that :func:`_periodic_end` compares at
-once, so skipping a run copies at most twice that, however long it is.  A
-power of two, so that the halving steps cover every shorter length."""
-
-
 def _periodic_end(data: bytes, stop: int, q: int, cap: int) -> int:
     """Grow ``stop`` while each byte of ``data`` equals the one ``q`` before
-    it, up to ``cap``: by steps of 1, 2, 4, ... bytes up to
-    :data:`SKIP_STEP`, then halving ones, which together cover every
-    length short of the step that failed."""
+    it, up to ``cap``: by steps of 1, 2, 4, ... bytes, then halving ones,
+    which together cover every length short of the step that failed.  Each
+    step compares ``data`` with itself in place, through a ``memoryview``,
+    so a skip copies nothing, however long the run."""
+    view = memoryview(data)
     step = 1
     while stop < cap:
         nxt = min(stop + step, cap)
-        if data[stop:nxt] != data[stop - q : nxt - q]:
+        if not data.startswith(view[stop - q : nxt - q], stop):
             break
         stop = nxt
-        step = min(2 * step, SKIP_STEP)
+        step *= 2
     else:
         return stop
     while step > 1:
         step //= 2
         nxt = min(stop + step, cap)
-        if data[stop:nxt] == data[stop - q : nxt - q]:
+        if data.startswith(view[stop - q : nxt - q], stop):
             stop = nxt
     return stop
 

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures.thread import BrokenThreadPool
 from pathlib import Path
@@ -420,11 +420,17 @@ class TestMain:
         assert err.count("error:") == 1 and "Traceback" not in err, err
         assert "terminated abruptly" in err, err
 
-    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
-    def test_workers_end_with_a_killed_cli(self, tmp_path, sig):
+    @pytest.mark.parametrize("sig, status", [
+        (signal.SIGKILL, -signal.SIGKILL),
+        (signal.SIGTERM, 143),
+        (signal.SIGHUP, 129),
+    ], ids=["kill", "term", "hup"])
+    def test_workers_end_with_a_killed_cli(self, tmp_path, sig, status):
         # A sitecustomize module on the child's path makes each pool worker
-        # write its pid, then sleep in its scan task.  Killing the CLI gives
-        # it no shutdown, so only the workers themselves can notice.
+        # write its pid, then sleep in its scan task.  SIGKILL gives the CLI
+        # no shutdown, so only the workers themselves can notice.  SIGTERM
+        # and SIGHUP make the CLI end its workers and shut its pool down,
+        # without waiting for their tasks, and exit 128 + the signal.
         pids = tmp_path / "pids"
         (tmp_path / "sitecustomize.py").write_text(
             "import multiprocessing, os, time\n"
@@ -456,7 +462,7 @@ class TestMain:
             return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
 
         child = subprocess.Popen([sys.executable, "-c", code], env=env,
-                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         started = []
         try:
             deadline = time.monotonic() + 60
@@ -465,7 +471,10 @@ class TestMain:
                 started = pids.read_text().split() if pids.exists() else []
             assert len(started) == workers
             child.send_signal(sig)
-            assert child.wait(timeout=60) == -sig
+            out, err = child.communicate(timeout=60)
+            assert child.returncode == status, err.decode(errors="replace")
+            assert out == b""
+            assert err == b"", err.decode(errors="replace")
             deadline = time.monotonic() + 10
             while any(map(running, started)) and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -479,6 +488,31 @@ class TestMain:
                     os.kill(int(pid), signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+    @pytest.mark.parametrize("flags, pooled", [
+        (["--mode", "seq"], False),
+        (["--mode", "par", "--processes", "--threads", "1"], True),
+        (["--mode", "both", "--processes", "--threads", "1"], True),
+        (["--mode", "par"], False),
+    ])
+    def test_term_and_hup_handled_only_while_a_pool_runs(self, sample, monkeypatch,
+                                                          flags, pooled):
+        # The scan records the handlers it runs under; a thread pool stands
+        # in for the process pool, whose start alone installs them.
+        monkeypatch.setattr(cli, "PAR_MIN_BYTES", 0)
+        monkeypatch.setattr(cli, "_make_pool", lambda workers: ThreadPoolExecutor(workers))
+        before = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGHUP)}
+        during = []
+        real = matcher.make_indices
+
+        def recording(*args):
+            during.append({sig: signal.getsignal(sig) for sig in before})
+            return real(*args)
+
+        monkeypatch.setattr(matcher, "make_indices", recording)
+        assert invoke(["--target", "aba", "--input", sample, *flags])[0] == cli.EXIT_MATCH
+        assert during and all((handlers != before) == pooled for handlers in during)
+        assert {sig: signal.getsignal(sig) for sig in before} == before
 
     @pytest.mark.parametrize(
         "flags, loaded",

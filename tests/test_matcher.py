@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from unittest import mock
@@ -160,22 +161,44 @@ class SliceRecorder(bytes):
         return part
 
 
-class TestPeriodicEnd:
-    """A run is skipped by compares of at most ``SKIP_STEP`` bytes, and ends
-    where a byte-by-byte walk ends."""
+def walk_periodic_end(data: bytes, stop: int, q: int, cap: int) -> int:
+    """:func:`matcher._periodic_end` byte by byte."""
+    while stop < cap and data[stop] == data[stop - q]:
+        stop += 1
+    return stop
 
-    @pytest.mark.parametrize("run", [0, 1, 5, matcher.SKIP_STEP - 1, matcher.SKIP_STEP,
-                                     matcher.SKIP_STEP + 1, 3 * matcher.SKIP_STEP + 7])
+
+class TestPeriodicEnd:
+    """A run is skipped without slicing the input, and ends where a
+    byte-by-byte walk ends."""
+
+    @pytest.mark.parametrize("run", [0, 1, 5, 65_535, 65_536, 65_537, 196_615])
     @pytest.mark.parametrize("q", [1, 3])
-    def test_slices_stay_within_the_step_and_end_where_the_period_breaks(self, run, q):
+    def test_takes_no_slice_and_ends_where_the_period_breaks(self, run, q):
         plain = (b"abc"[:q] * (run // q + 2))[: q + run] + b"x" + b"abc" * 4
         for cap in (len(plain), q + run // 2, q + run + 1):
             data = SliceRecorder(plain)
-            stop = q
-            while stop < cap and plain[stop] == plain[stop - q]:
-                stop += 1
-            assert matcher._periodic_end(data, q, q, cap) == stop
-            assert max(data.lengths, default=0) <= matcher.SKIP_STEP
+            assert matcher._periodic_end(data, q, q, cap) == walk_periodic_end(plain, q, q, cap)
+            assert data.lengths == []
+
+    @given(st.integers(1, 6), st.integers(0, 600), st.binary(min_size=1, max_size=1), st.data())
+    def test_ends_where_a_byte_by_byte_walk_ends(self, q, run, brk, data):
+        # A run of ``run`` bytes at period ``q``, then a byte that may or may not break it.
+        period = data.draw(st.binary(min_size=q, max_size=q))
+        text = (period * (run // q + 2))[: q + run] + brk + period
+        cap = data.draw(st.integers(q, len(text)))
+        assert matcher._periodic_end(text, q, q, cap) == walk_periodic_end(text, q, q, cap)
+
+    def test_a_skip_of_16_mib_allocates_under_4_kib(self):
+        data = bytes(16 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            stop = matcher._periodic_end(data, 1, 1, len(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stop == len(data)
+        assert peak < 4096, peak
 
 
 class TestBlocks:
