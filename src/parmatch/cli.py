@@ -14,6 +14,12 @@ disagree (a bug), 130 on Ctrl-C, 141 when stdout's reader goes away, and
 once a process pool has started, 143 on SIGTERM and 129 on SIGHUP, which
 end its workers and shut it down (before that they end the process as
 they end any).
+
+The process pool always forks its workers, whatever the platform's
+default start method (Python 3.14 makes it ``forkserver`` on Linux): the
+SIGINT mask of ``_make_pool`` works only on workers that inherit it, and a
+forked pool leaves no resource tracker behind to warn of leaked semaphores
+when the CLI is killed.  So ``--processes`` needs a platform with ``fork``.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
              f"except for an input that --mode par scans inline",
     )
     parser.add_argument("--json", action="store_true",
-                        help="emit one JSON object per input; it holds every index in memory")
+                        help="emit one JSON object per input")
     parser.add_argument(
         "--processes", action="store_true",
         help=f"scan chunks in a process pool instead of inline; the pool starts at the "
@@ -159,15 +165,18 @@ def _init_worker() -> None:
 
 
 def _make_pool(workers: int) -> Executor:
-    """The scan stage's process pool, its workers already forked.
+    """The scan stage's process pool, its workers already forked, by the
+    ``fork`` start method whatever the default (see the module docstring).
 
     Merges always run inline; a thread pool for them measured no faster.
     """
     # Imported here: they pull in multiprocessing, which no other path uses.
+    import multiprocessing
     import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               mp_context=multiprocessing.get_context("fork"))
     try:
         # With the fork start method the first task forks every worker.
         # Forking them here with SIGINT blocked means no worker can take a
@@ -244,14 +253,6 @@ def _print_divergence(path: str, row: dict, err) -> None:
     )
 
 
-def _write_json(out, obj: dict) -> None:
-    """One JSON line in one write (``json.dump`` writes once per token)."""
-    # Imported here: only --json writes JSON.
-    import json
-
-    out.write(json.dumps(obj) + "\n")
-
-
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -269,6 +270,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_MATCH
     target = ByteText(args.target)
+    if args.json:
+        import json  # Imported here: only --json writes JSON.
 
     pool = None
     restore_handlers = None
@@ -294,7 +297,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             else:
                 report = verify_equivalence(text, target, plans, map_pool)
                 if args.mode == "bench" and args.json:
-                    _write_json(out, {"path": path, "entries": report.entries})
+                    out.write(json.dumps({"path": path, "entries": report.entries}) + "\n")
                 elif args.mode == "bench":
                     out.write(f"path={path}\n{report.to_text()}\n")
                 if not report.ok:
@@ -310,14 +313,14 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
             if args.mode == "bench":
                 continue
             if args.json:
-                _write_json(out, {
-                    "path": path,
-                    "target_length": len(target),
-                    "indices": list(indices),
-                    "count": len(indices),
-                    "mode": args.mode,
-                    "timings_ms": timings,
-                })
+                # json.dumps of the whole report, in pieces: its head, a block
+                # of the index array per write, and its tail.
+                head = json.dumps({"path": path, "target_length": len(target)})
+                tail = json.dumps({"count": len(indices), "mode": args.mode, "timings_ms": timings})
+                out.write(head[:-1] + ', "indices": [')
+                for k, block in enumerate(indices.lines(INDEX_BLOCK)):
+                    out.write(", " * (k > 0) + block[:-1].replace("\n", ", "))
+                out.write("], " + tail[1:] + "\n")
             else:
                 for block in indices.lines(INDEX_BLOCK):
                     out.write(block)

@@ -39,8 +39,11 @@ copies no index.  Only this
 module reads segments.  :func:`ship` moves a window into the form a map
 task returns, and :func:`window_matcher` wraps a window's segments,
 unlisted, as a matcher's :class:`Indices`, a read-only sequence of ints
-(the rope idea of Boehm, Atkinson and Plass).  :meth:`Indices.lines`
-prints them a block at a time, and a ``range`` through a digit table.
+(the rope idea of Boehm, Atkinson and Plass).  It alone walks a result's
+ints, through one printer and one comparison: :meth:`Indices.lines`
+prints them a block at a time, and a ``range`` through a digit table,
+and :meth:`Indices.mismatch` compares two results piece by piece, two
+``range`` pieces in O(1).
 
 :func:`naive_match` is the deliberately simple reference scanner; it
 shares no code with the scan used by the matcher pipeline and exists to
@@ -53,7 +56,6 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cache, partial
 from itertools import accumulate, chain
-from operator import eq
 
 from .bytetext import ByteText, Value, chunkable_ops
 from .monoid import MonoidOps, MorphismWitness
@@ -199,7 +201,11 @@ class Indices(Sequence):
     that keeps the segments and never lists them: it iterates them in
     turn, finds an index by bisecting their cumulative lengths, builds a
     tuple only for a slice, and equals, hashes and prints as the tuple of
-    its ints, whatever the segmentation."""
+    its ints, whatever the segmentation.
+
+    Its readers go through one printer, :meth:`lines`, and one
+    comparison, :meth:`mismatch`, which ``==`` and ``first_divergence``
+    use."""
 
     __slots__ = ("_segments", "_starts")
 
@@ -217,13 +223,41 @@ class Indices(Sequence):
         at = range(len(self))[key]
         if type(at) is range:  # a slice
             return tuple(map(self.__getitem__, at))
-        k = bisect_right(self._starts, at) - 1
-        return self._segments[k][at - self._starts[k]]
+        return self._piece(at, at + 1)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Indices, tuple)):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return len(self) == len(other) and self.mismatch(other) is None
+
+    def mismatch(self, other: Indices | tuple) -> int | None:
+        """The first position where ``self`` and ``other`` differ, or where
+        the shorter of them ends; ``None`` when they are equal.  A tuple
+        counts as one segment.
+
+        It cuts both at the union of their segment starts, so that each cut
+        is one piece of a segment on either side, and compares the pieces as
+        slices: two ``range`` pieces in O(1), two ``list`` pieces in C, and a
+        ``range`` against a ``list`` by listing both, no longer than the
+        ``list``.  Only the first pair that differs is walked, up to its
+        first difference, so no ``range`` is ever listed against another.
+        """
+        other = other if isinstance(other, Indices) else Indices([other])
+        end = min(len(self), len(other))
+        cuts = sorted({at for at in chain(self._starts, other._starts) if at < end})
+        for lo, hi in zip(cuts, cuts[1:] + [end]):
+            a, b = self._piece(lo, hi), other._piece(lo, hi)
+            if type(a) is not type(b):
+                a, b = list(a), list(b)
+            if a != b:
+                return lo + next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        return None if len(self) == len(other) else end
+
+    def _piece(self, lo: int, hi: int) -> Sequence:
+        """The ints at positions ``[lo, hi)``, a slice of the one segment
+        that holds them all."""
+        k = bisect_right(self._starts, lo) - 1
+        return self._segments[k][lo - self._starts[k] : hi - self._starts[k]]
 
     def __hash__(self) -> int:
         return hash(tuple(self))

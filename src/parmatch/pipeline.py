@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
-from itertools import zip_longest
 
 from .bytetext import ByteText, Value
 from .matcher import StringMatcher, scan_window, ship, to_sm, window_matcher, window_ops
@@ -173,15 +172,16 @@ class EquivalenceReport:
 def first_divergence(seq: StringMatcher, par: StringMatcher) -> dict | None:
     """The first index-list position where the two matchers differ, or None.
 
-    A list that ends first reads None there, and so do both lists when only
-    the texts differ.
+    The position is :meth:`~parmatch.matcher.Indices.mismatch`'s, the one
+    comparison of two results.  A list that ends first reads None there,
+    and so do both lists, at their length, when only the texts differ.
     """
-    if seq == par:
-        return None
-    for position, (a, b) in enumerate(zip_longest(seq.indices, par.indices)):
-        if a != b:
-            return {"position": position, "sequential": a, "parallel": b}
-    return {"position": len(seq.indices), "sequential": None, "parallel": None}
+    a, b = seq.indices, par.indices
+    position = a.mismatch(b)
+    if position is None:
+        return None if seq == par else {"position": len(a), "sequential": None, "parallel": None}
+    return {"position": position, "sequential": a[position] if position < len(a) else None,
+            "parallel": b[position] if position < len(b) else None}
 
 
 def verify_equivalence(

@@ -430,10 +430,15 @@ class TestMain:
         # write its pid, then sleep in its scan task.  SIGKILL gives the CLI
         # no shutdown, so only the workers themselves can notice.  SIGTERM
         # and SIGHUP make the CLI end its workers and shut its pool down,
-        # without waiting for their tasks, and exit 128 + the signal.
+        # without waiting for their tasks, and exit 128 + the signal.  The
+        # module also makes forkserver the default start method, as Python
+        # 3.14 does on Linux: the CLI pins fork, so its workers still
+        # inherit the CLI's state, and no resource tracker is left to warn
+        # of leaked semaphores on its stderr once it is killed.
         pids = tmp_path / "pids"
         (tmp_path / "sitecustomize.py").write_text(
             "import multiprocessing, os, time\n"
+            "multiprocessing.set_start_method('forkserver', force=True)\n"
             "from parmatch import pipeline\n"
             "real = pipeline._scan_run\n"
             "def _scan_run(tg, run):\n"
@@ -597,40 +602,49 @@ class TestTextOutput:
 
 
 class TestDenseOutputMemory:
-    def test_peak_rss_does_not_grow_with_the_hits(self, tmp_path):
+    @staticmethod
+    def peak_kib(tmp_path, mib, flags):
         # Zero bytes with target 00000000 hit at every offset but the last
-        # three, so 4 MiB prints 3 Mi more lines than 1 MiB.  Each run is
+        # three, so 4 MiB prints 3 Mi more indices than 1 MiB.  Each run is
         # the only child of a fresh wrapper process, so RUSAGE_CHILDREN
         # reads that CLI's own peak (in KiB on Linux).
-        def peak_kib(mib):
-            path = tmp_path / f"zeros-{mib}.bin"
-            path.write_bytes(bytes(mib << 20))
-            argv = [sys.executable, "-m", "parmatch.cli", "--mode", "seq",
-                    "--target-hex", "00000000", "--input", str(path)]
-            code = (
-                "import os, resource, subprocess\n"
-                "with open(os.devnull, 'wb') as sink:\n"
-                f"    subprocess.run({argv!r}, stdout=sink, check=True)\n"
-                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-            )
-            wrapper = subprocess.run([sys.executable, "-c", code], env=child_env(),
-                                     capture_output=True, timeout=120)
-            assert wrapper.returncode == 0, wrapper.stderr.decode(errors="replace")
-            assert wrapper.stderr == f"count={(mib << 20) - 3}\n".encode()
-            return int(wrapper.stdout)
+        path = tmp_path / f"zeros-{mib}.bin"
+        path.write_bytes(bytes(mib << 20))
+        argv = [sys.executable, "-m", "parmatch.cli", "--mode", "seq",
+                "--target-hex", "00000000", "--input", str(path), *flags]
+        code = (
+            "import os, resource, subprocess\n"
+            "with open(os.devnull, 'wb') as sink:\n"
+            f"    subprocess.run({argv!r}, stdout=sink, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        wrapper = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                                 capture_output=True, timeout=120)
+        assert wrapper.returncode == 0, wrapper.stderr.decode(errors="replace")
+        assert wrapper.stderr == (b"" if flags else f"count={(mib << 20) - 3}\n".encode())
+        return int(wrapper.stdout)
 
-        assert peak_kib(4) - peak_kib(1) < 32 * 1024
+    def test_peak_rss_does_not_grow_with_the_hits(self, tmp_path):
+        assert self.peak_kib(tmp_path, 4, []) - self.peak_kib(tmp_path, 1, []) < 32 * 1024
+
+    def test_json_peak_rss_does_not_grow_with_the_hits(self, tmp_path):
+        # The JSON report prints its index array a block at a time, as text mode does.
+        flags = ["--json"]
+        assert self.peak_kib(tmp_path, 4, flags) - self.peak_kib(tmp_path, 1, flags) < 32 * 1024
 
 
 class TestJsonOutput:
     @pytest.mark.parametrize("count", EDGE_COUNTS)
     def test_match_report_is_one_write(self, periodic, count):
+        # One write for each piece of the line: the head, up to
+        # "indices": [, each INDEX_BLOCK indices, and the tail.  So the
+        # line's text is never held whole, and still is json.dumps's.
         path = periodic(count)
         out = CountingOut()
         status = cli.run(["--target", "aba", "--input", path, "--json"],
                          out=out, err=io.StringIO())
         assert status == (cli.EXIT_MATCH if count else cli.EXIT_NO_MATCH)
-        assert out.writes == 1
+        assert out.writes == 2 + -(-count // cli.INDEX_BLOCK)
         assert out.getvalue().endswith("}\n")
         report = json.loads(out.getvalue())
         assert report == {
@@ -648,6 +662,23 @@ class TestJsonOutput:
             f'"indices": [{", ".join(map(str, range(0, 2 * count, 2)))}], '
             f'"count": {count}, "mode": "seq", "timings_ms": {{"seq": {seq_ms}}}}}\n'
         )
+
+    def test_periodic_run_across_a_digit_is_the_dumps_line(self, tmp_path):
+        # A period-3 run from 0 to past 10**6: its indices print through the
+        # digit table, across 1000 and 10**6 where they grow a digit.
+        path = tmp_path / "abc.txt"
+        path.write_bytes(b"abc" * 333_400)
+        out = io.StringIO()
+        status = cli.run(["--target", "abcab", "--input", str(path), "--json"],
+                         out=out, err=io.StringIO())
+        assert status == cli.EXIT_MATCH
+        report = json.loads(out.getvalue())
+        indices = list(range(0, 3 * 333_400 - 4, 3))
+        assert indices[-1] > 10**6
+        assert out.getvalue() == json.dumps({
+            "path": str(path), "target_length": 5, "indices": indices, "count": len(indices),
+            "mode": "seq", "timings_ms": report["timings_ms"],
+        }) + "\n"
 
     def test_bench_line_is_one_write(self, sample):
         out = CountingOut()

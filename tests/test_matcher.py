@@ -29,6 +29,7 @@ from parmatch import (
 from parmatch import matcher
 from parmatch.cli import INDEX_BLOCK
 from parmatch.matcher import Indices, join_windows, make_indices, scan_window, ship
+from parmatch.pipeline import first_divergence
 
 from support import (
     EMPTY,
@@ -654,6 +655,104 @@ class TestIndices:
         copy = pickle.loads(pickle.dumps(indices))
         assert type(copy) is Indices and copy == expected
         assert copy._segments == segments  # list == list, range == range
+
+
+def recut(data, segments):
+    """The ints of ``segments``, each segment cut at drawn offsets into
+    slices, each slice kept (a ``range`` stays one) or listed."""
+    pieces = []
+    for segment in segments:
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(segment)), max_size=3))
+                      | {0, len(segment)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece = segment[lo:hi]
+            pieces.append(list(piece) if data.draw(st.booleans()) else piece)
+    return pieces
+
+
+def change_one(segments, position, delta):
+    """``segments`` with the int at ``position`` moved by ``delta``, the
+    segment that held it split around it."""
+    changed, start = [], 0
+    for segment in segments:
+        at = position - start
+        if 0 <= at < len(segment):
+            changed += segment[:at], [segment[at] + delta], segment[at + 1 :]
+        else:
+            changed.append(segment)
+        start += len(segment)
+    return changed
+
+
+def walked_divergence(a, b):
+    """The reference for comparing results: :func:`first_divergence`'s dict
+    for index lists ``a`` and ``b`` over one text, by a walk over their
+    ints, or None when they are equal."""
+    for position, (x, y) in enumerate(itertools.zip_longest(a, b)):
+        if x != y:
+            return {"position": position, "sequential": x, "parallel": y}
+    return None
+
+
+def over_one_text(segments):
+    """A matcher whose indices are ``segments``, all over the same text."""
+    return StringMatcher(bt("a"), bt("ab"), Indices(segments))
+
+
+class TestMismatch:
+    """:meth:`Indices.mismatch` and :func:`first_divergence`, the one
+    comparison of two results, agree with a walk over the expansions."""
+
+    @given(segmentations(), st.data())
+    def test_is_the_first_difference_of_the_expansions(self, segments, data):
+        # The same ints cut elsewhere, then possibly one int changed (inside
+        # a long range too) or the tail dropped.
+        others = recut(data, segments)
+        n = len(flatten(segments))
+        change = data.draw(st.sampled_from(["none", "one int", "tail"]))
+        if change == "one int" and n:
+            at = data.draw(st.integers(0, n - 1))
+            others = change_one(others, at, data.draw(st.sampled_from([-2, -1, 1, 3])))
+        elif change == "tail":
+            others = others[: data.draw(st.integers(0, len(others)))]
+        a, b = Indices(segments), Indices(others)
+        expected = walked_divergence(flatten(segments), flatten(others))
+        position = expected and expected["position"]
+        assert a.mismatch(b) == b.mismatch(a) == position
+        assert a.mismatch(tuple(flatten(others))) == position
+        assert (a == b) == (b == a) == (expected is None)
+        assert first_divergence(over_one_text(segments), over_one_text(others)) == expected
+
+    def test_ranges_that_differ_only_in_step(self):
+        for a, b, position in [([range(0, 30, 3)], [range(0, 20, 2)], 1),
+                               ([[5], range(10, 40, 3)], [[5], range(10, 30, 2)], 2),
+                               ([range(7, 8, 1)], [range(7, 8, 5)], None)]:
+            assert Indices(a).mismatch(Indices(b)) == position
+            assert (Indices(a) == Indices(b)) == (position is None)
+
+    def test_a_range_equals_the_list_of_its_ints(self):
+        run = range(3, 300, 3)
+        for other in ([list(run)], [list(run[:10]), run[10:50], list(run[50:])]):
+            assert Indices([run]).mismatch(Indices(other)) is None
+            assert Indices([run]) == Indices(other) == tuple(run)
+        assert Indices([run]).mismatch(Indices([list(run)[:-1] + [299]])) == len(run) - 1
+
+    def test_ranges_of_10_18_ints_cut_in_three_places(self):
+        # An int walk could not finish these: every comparison goes by piece.
+        n = 10**18
+        half = n // 2
+        whole = [range(n)]
+        cut = [range(3), range(3, half), [half], range(half + 1, n)]
+        assert Indices(whole) == Indices(cut) and Indices(whole).mismatch(Indices(cut)) is None
+        moved = [range(3), range(3, half), [half + 1], range(half + 1, n)]
+        stepped = [range(3), range(3, half), range(half, half + 2 * (n - half), 2)]
+        shorter = [range(3), range(3, half), range(half, n - 1)]
+        for other, position, value in [(moved, half, half + 1), (stepped, half + 1, half + 2),
+                                       (shorter, n - 1, None)]:
+            assert Indices(whole) != Indices(other)
+            assert Indices(whole).mismatch(Indices(other)) == position
+            assert first_divergence(over_one_text(whole), over_one_text(other)) == {
+                "position": position, "sequential": position, "parallel": value}
 
 
 def printed_segmentations():
